@@ -1,6 +1,7 @@
 #include "src/common/json_parser.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 
@@ -14,6 +15,20 @@ JsonValue::JsonValue(JsonArray a)
 JsonValue::JsonValue(JsonObject o)
     : type_(Type::kObject), object_(std::make_shared<JsonObject>(std::move(o))) {}
 
+JsonValue JsonValue::Integer(int64_t value) {
+  JsonValue json(static_cast<double>(value));
+  json.exact_kind_ = Exact::kSigned;
+  json.exact_ = static_cast<uint64_t>(value);
+  return json;
+}
+
+JsonValue JsonValue::Unsigned(uint64_t value) {
+  JsonValue json(static_cast<double>(value));
+  json.exact_kind_ = Exact::kUnsigned;
+  json.exact_ = value;
+  return json;
+}
+
 bool JsonValue::AsBool() const {
   CHECK(type_ == Type::kBool);
   return bool_;
@@ -24,12 +39,16 @@ double JsonValue::AsDouble() const {
   return number_;
 }
 
-int64_t JsonValue::AsInt() const { return static_cast<int64_t>(std::llround(AsDouble())); }
+int64_t JsonValue::AsInt() const {
+  const double d = AsDouble();
+  return exact_kind_ == Exact::kNone ? static_cast<int64_t>(std::llround(d))
+                                     : static_cast<int64_t>(exact_);
+}
 
 uint64_t JsonValue::AsUint() const {
   const double d = AsDouble();
   CHECK_GE(d, 0.0);
-  return static_cast<uint64_t>(std::llround(d));
+  return exact_kind_ == Exact::kNone ? static_cast<uint64_t>(std::llround(d)) : exact_;
 }
 
 const std::string& JsonValue::AsString() const {
@@ -54,8 +73,14 @@ const JsonValue& JsonValue::at(const std::string& key) const {
   return it->second;
 }
 
-bool JsonValue::Has(const std::string& key) const {
-  return is_object() && AsObject().count(key) > 0;
+bool JsonValue::Has(const std::string& key) const { return Find(key) != nullptr; }
+
+const JsonValue* JsonValue::Find(std::string_view key) const {
+  if (!is_object()) {
+    return nullptr;
+  }
+  auto it = object_->find(key);
+  return it == object_->end() ? nullptr : &it->second;
 }
 
 namespace {
@@ -299,6 +324,22 @@ class Parser {
       return Error("bad number '" + token + "'");
     }
     out = JsonValue(value);
+    // Integral literals also keep their exact 64-bit value; ones beyond the
+    // 64-bit range stay plain doubles (and ToInt/ToUint reject them), as
+    // does "-0" so that AsDouble() keeps its sign.
+    if (token.find_first_of(".eE") == std::string::npos) {
+      errno = 0;
+      const long long exact = std::strtoll(token.c_str(), &end, 10);
+      if (errno == 0 && (exact != 0 || token[0] != '-')) {
+        out = JsonValue::Integer(exact);
+      } else if (token[0] != '-') {
+        errno = 0;
+        const unsigned long long exact_unsigned = std::strtoull(token.c_str(), &end, 10);
+        if (errno == 0) {
+          out = JsonValue::Unsigned(exact_unsigned);
+        }
+      }
+    }
     return Status::Ok();
   }
 
@@ -336,18 +377,31 @@ Result<double> ToNumber(const JsonValue& value) {
   return value.AsDouble();
 }
 
+// Integral literals convert exactly; other numbers only when integral and
+// in range.
 Result<int64_t> ToInt(const JsonValue& value) {
-  if (value.type() != JsonValue::Type::kNumber) {
-    return Status::InvalidArgument("expected JSON number");
+  MAYA_ASSIGN_OR_RETURN(const double d, ToNumber(value));
+  if (value.exact_kind_ == JsonValue::Exact::kSigned) {
+    return static_cast<int64_t>(value.exact_);
   }
-  return value.AsInt();
+  if (value.exact_kind_ == JsonValue::Exact::kNone && d == std::trunc(d) && d >= -0x1p63 &&
+      d < 0x1p63) {
+    return static_cast<int64_t>(d);
+  }
+  return Status::InvalidArgument(StrFormat("expected a 64-bit integer, got %g", d));
 }
 
 Result<uint64_t> ToUint(const JsonValue& value) {
-  if (value.type() != JsonValue::Type::kNumber || value.AsDouble() < 0.0) {
-    return Status::InvalidArgument("expected non-negative JSON number");
+  MAYA_ASSIGN_OR_RETURN(const double d, ToNumber(value));
+  if (value.exact_kind_ == JsonValue::Exact::kUnsigned ||
+      (value.exact_kind_ == JsonValue::Exact::kSigned && d >= 0.0)) {
+    return value.exact_;
   }
-  return value.AsUint();
+  if (value.exact_kind_ == JsonValue::Exact::kNone && d == std::trunc(d) && d >= 0.0 &&
+      d < 0x1p64) {
+    return static_cast<uint64_t>(d);
+  }
+  return Status::InvalidArgument(StrFormat("expected a non-negative 64-bit integer, got %g", d));
 }
 
 Result<std::string> ToString(const JsonValue& value) {
@@ -362,6 +416,13 @@ Result<const JsonArray*> ToArray(const JsonValue& value) {
     return Status::InvalidArgument("expected JSON array");
   }
   return &value.AsArray();
+}
+
+Result<const JsonObject*> ToObject(const JsonValue& value) {
+  if (!value.is_object()) {
+    return Status::InvalidArgument("expected JSON object");
+  }
+  return &value.AsObject();
 }
 
 }  // namespace maya

@@ -1,6 +1,9 @@
 #include "src/common/strings.h"
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 
 #include "src/common/check.h"
 
@@ -52,6 +55,23 @@ std::string HumanDuration(double microseconds) {
     return StrFormat("%.2f s", microseconds / 1e6);
   }
   return StrFormat("%.1f min", microseconds / 60e6);
+}
+
+std::string DoubleBits(double value) {
+  return StrFormat("%016llx",
+                   static_cast<unsigned long long>(std::bit_cast<uint64_t>(value)));
+}
+
+Result<double> DoubleFromBits(const std::string& hex) {
+  if (hex.size() != 16) {
+    return Status::InvalidArgument("double bit pattern must be 16 hex digits: '" + hex + "'");
+  }
+  char* end = nullptr;
+  const unsigned long long bits = std::strtoull(hex.c_str(), &end, 16);
+  if (end != hex.c_str() + hex.size()) {
+    return Status::InvalidArgument("bad double bit pattern '" + hex + "'");
+  }
+  return std::bit_cast<double>(static_cast<uint64_t>(bits));
 }
 
 }  // namespace maya

@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "src/common/status.h"
+
 namespace maya {
 
 // printf-style formatting. Format errors CHECK-fail.
@@ -17,6 +19,11 @@ std::string Join(const std::vector<std::string>& parts, const std::string& separ
 std::string HumanBytes(double bytes);
 // Microseconds -> "812 us" / "38.1 ms" / "2.74 s" / "45.2 min".
 std::string HumanDuration(double microseconds);
+
+// Bit-exact double <-> 16-hex-digit IEEE-754 pattern: how the JSON codecs
+// carry doubles that must survive a round trip unchanged.
+std::string DoubleBits(double value);
+Result<double> DoubleFromBits(const std::string& hex);
 
 }  // namespace maya
 

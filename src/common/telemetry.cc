@@ -115,6 +115,18 @@ MetricSeries HistogramSeries(const LatencyHistogram& histogram) {
   return series;
 }
 
+const char* MetricTypeName(MetricType type) {
+  switch (type) {
+    case MetricType::kCounter:
+      return "counter";
+    case MetricType::kGauge:
+      return "gauge";
+    case MetricType::kHistogram:
+      return "histogram";
+  }
+  return "counter";
+}
+
 std::string RenderPrometheus(const MetricsReport& report) {
   std::string out;
   const auto with_label = [](const std::string& labels, const std::string& extra) {
@@ -133,10 +145,7 @@ std::string RenderPrometheus(const MetricsReport& report) {
     if (!family.help.empty()) {
       out += "# HELP " + family.name + " " + family.help + "\n";
     }
-    const char* type = family.type == MetricType::kCounter    ? "counter"
-                       : family.type == MetricType::kGauge    ? "gauge"
-                                                              : "histogram";
-    out += "# TYPE " + family.name + " " + type + "\n";
+    out += "# TYPE " + family.name + " " + MetricTypeName(family.type) + "\n";
     for (const MetricSeries& series : family.series) {
       if (family.type == MetricType::kHistogram) {
         uint64_t cumulative = 0;

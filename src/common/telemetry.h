@@ -88,6 +88,9 @@ class LatencyHistogram {
 
 enum class MetricType { kCounter, kGauge, kHistogram };
 
+// "counter", "gauge" or "histogram" (Prometheus `# TYPE` and wire name).
+const char* MetricTypeName(MetricType type);
+
 struct MetricBucket {
   double le = 0.0;     // upper bound (microseconds); last bucket uses +inf
   uint64_t count = 0;  // per-bucket (non-cumulative) count

@@ -1,7 +1,5 @@
 #include "src/estimator/serialization.h"
 
-#include <bit>
-#include <cstdlib>
 #include <utility>
 #include <vector>
 
@@ -275,23 +273,6 @@ struct CollectiveEstimatorSerializer {
     return estimator;
   }
 };
-
-std::string DoubleBits(double value) {
-  return StrFormat("%016llx",
-                   static_cast<unsigned long long>(std::bit_cast<uint64_t>(value)));
-}
-
-Result<double> DoubleFromBits(const std::string& hex) {
-  if (hex.size() != 16) {
-    return Status::InvalidArgument("double bit pattern must be 16 hex digits: '" + hex + "'");
-  }
-  char* end = nullptr;
-  const unsigned long long bits = std::strtoull(hex.c_str(), &end, 16);
-  if (end != hex.c_str() + hex.size()) {
-    return Status::InvalidArgument("bad double bit pattern '" + hex + "'");
-  }
-  return std::bit_cast<double>(static_cast<uint64_t>(bits));
-}
 
 void WriteKernelDescExact(JsonWriter& w, const KernelDesc& kernel) {
   w.BeginObject();

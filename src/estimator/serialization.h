@@ -20,15 +20,12 @@
 #include "src/common/json_parser.h"
 #include "src/common/json_writer.h"
 #include "src/common/status.h"
+#include "src/common/strings.h"
 #include "src/estimator/collective_estimator.h"
 #include "src/estimator/kernel_estimator.h"
 #include "src/estimator/random_forest.h"
 
 namespace maya {
-
-// Bit-exact double <-> 16-hex-digit IEEE-754 pattern.
-std::string DoubleBits(double value);
-Result<double> DoubleFromBits(const std::string& hex);
 
 // KernelDesc with flop/byte counts encoded bit-exactly — required when the
 // desc is a cache key (Hash()/operator== are over the raw bits).

@@ -156,9 +156,7 @@ Result<JsonValue> ReadJsonFile(const std::string& path) {
 }  // namespace
 
 std::string ArtifactStore::ClusterSignature(const ClusterSpec& cluster) {
-  JsonWriter w;
-  WriteClusterSpec(w, cluster);
-  return w.str();
+  return WriteJsonFields(cluster);
 }
 
 std::string ArtifactStore::PathFor(const std::string& subdir, const char* file) const {
@@ -299,7 +297,7 @@ Status ArtifactStore::SaveEstimators(const ClusterSpec& cluster, const Estimator
   manifest.BeginObject();
   manifest.Field("version", static_cast<int64_t>(kArtifactBundleVersion));
   manifest.Key("cluster");
-  WriteClusterSpec(manifest, cluster);
+  WriteJsonFields(manifest, cluster);
   manifest.Field("kernel_cache_entries", kernel_entries);
   manifest.Field("collective_cache_entries", collective_entries);
   manifest.Field("sim_cache_entries", sim_entries);
@@ -328,7 +326,7 @@ Status ArtifactStore::Save(const ClusterSpec& cluster, const EstimatorBank& bank
   manifest.BeginObject();
   manifest.Field("version", static_cast<int64_t>(kArtifactBundleVersion));
   manifest.Key("cluster");
-  WriteClusterSpec(manifest, cluster);
+  WriteJsonFields(manifest, cluster);
   manifest.Field("kernel_cache_entries", kernel_entries);
   manifest.Field("collective_cache_entries", collective_entries);
   manifest.Field("sim_cache_entries", sim_entries);
@@ -372,7 +370,7 @@ Status ArtifactStore::SaveRegistry(const DeploymentRegistry& registry,
     manifest.Field("name", std::string_view(deployment.name));
     manifest.Field("dir", std::string_view(subdir));
     manifest.Key("cluster");
-    WriteClusterSpec(manifest, deployment.cluster);
+    WriteJsonFields(manifest, deployment.cluster);
     manifest.Field("kernel_cache_entries", kernel_entries);
     manifest.Field("collective_cache_entries", collective_entries);
     manifest.Field("sim_cache_entries", sim_entries);
@@ -418,7 +416,7 @@ Result<ArtifactManifest> ArtifactStore::ReadManifest() const {
     }
     DeploymentManifest deployment;
     deployment.name = kDefaultDeploymentName;
-    Result<ClusterSpec> cluster = ParseClusterSpec(root->at("cluster"));
+    Result<ClusterSpec> cluster = ReadJsonFields<ClusterSpec>(root->at("cluster"));
     if (!cluster.ok()) {
       return cluster.status();
     }
@@ -457,7 +455,7 @@ Result<ArtifactManifest> ArtifactStore::ReadManifest() const {
         return Status::InvalidArgument("v2 manifest names unsafe deployment dir '" +
                                        deployment.dir + "'");
       }
-      Result<ClusterSpec> cluster = ParseClusterSpec(entry.at("cluster"));
+      Result<ClusterSpec> cluster = ReadJsonFields<ClusterSpec>(entry.at("cluster"));
       if (!cluster.ok()) {
         return cluster.status();
       }

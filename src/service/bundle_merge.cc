@@ -290,7 +290,7 @@ Result<BundleMergeReport> MergeBundles(const std::vector<std::string>& inputs,
     manifest.Field("name", std::string_view(deployment.name));
     manifest.Field("dir", std::string_view(subdir));
     manifest.Key("cluster");
-    WriteClusterSpec(manifest, deployment.cluster);
+    WriteJsonFields(manifest, deployment.cluster);
     manifest.Field("kernel_cache_entries",
                    static_cast<uint64_t>(deployment.kernel_cache.entries.size()));
     manifest.Field("collective_cache_entries",

@@ -44,6 +44,10 @@
 // v1 compatibility: the retired `whatif_cluster` kind still parses — it maps
 // to a PredictPayload whose `deployment` is the old `cluster` field — but is
 // never emitted; v2 responses answer it under kind "predict".
+//
+// Each wire struct's keys, and whether each is required, optional or omitted
+// when empty, are listed once in its Fields function in protocol.cc; the
+// visitors of src/common/json_fields.h serialize and parse through it.
 #ifndef SRC_SERVICE_PROTOCOL_H_
 #define SRC_SERVICE_PROTOCOL_H_
 
@@ -52,8 +56,7 @@
 #include <variant>
 #include <vector>
 
-#include "src/common/json_parser.h"
-#include "src/common/json_writer.h"
+#include "src/common/json_fields.h"
 #include "src/common/sharded_cache.h"
 #include "src/common/status.h"
 #include "src/common/telemetry.h"
@@ -80,7 +83,6 @@ enum class ServiceRequestKind {
 };
 
 const char* ServiceRequestKindName(ServiceRequestKind kind);
-Result<ServiceRequestKind> ServiceRequestKindFromName(const std::string& name);
 
 struct PredictPayload {
   ModelConfig model;
@@ -306,24 +308,15 @@ struct HealthStatus {
   uint64_t queue_depth = 0;
 };
 
-struct ServiceResponse {
+// The PredictResult base holds the predict / whatif_oom / trace_predict
+// result; a search answer reuses its timings (summed per trial), estimation
+// and simulation counters.
+struct ServiceResponse : PredictResult {
   uint64_t id = 0;
   ServiceRequestKind kind = ServiceRequestKind::kPredict;
   bool ok = false;
   std::string error;
   std::string error_code;
-
-  // predict / whatif_oom / trace_predict results.
-  bool oom = false;
-  std::string oom_detail;
-  double iteration_time_us = 0.0;
-  double mfu = 0.0;
-  uint64_t peak_memory_bytes = 0;
-  StageTimings timings;
-  EstimationStats estimation;
-  // Per-request (predict-like) or summed per-trial (search) stage-4 counters.
-  SimulationStats simulation;
-  bool trace_cache_hit = false;
 
   // batch_predict results: one entry per requested config, in order.
   std::vector<PredictResult> batch;
@@ -366,11 +359,10 @@ struct ServiceResponse {
   HealthStatus health;
 };
 
-// Copies one prediction outcome into a response's single-result fields (the
-// inverse of how predict-like responses serialize). Shared by the engine and
-// the response codec so the field list lives in one place.
-void AssignPredictResult(ServiceResponse& response, const PredictResult& result);
-PredictResult SinglePredictResult(const ServiceResponse& response);
+// Copies one prediction outcome into a response's single-result fields.
+inline void AssignPredictResult(ServiceResponse& response, const PredictResult& result) {
+  static_cast<PredictResult&>(response) = result;
+}
 
 // Builds the INVALID_REQUEST response for a line that failed
 // ParseServiceRequest with `status`: echoes the id/kind when the line is at
@@ -385,13 +377,11 @@ Result<ServiceRequest> ParseServiceRequest(const std::string& line);
 std::string SerializeServiceResponse(const ServiceResponse& response);
 Result<ServiceResponse> ParseServiceResponse(const std::string& line);
 
-// Shared model/config codecs (also used by the artifact store's manifest).
-void WriteModelConfig(JsonWriter& w, const ModelConfig& model);
-Result<ModelConfig> ParseModelConfig(const JsonValue& value);
-void WriteTrainConfig(JsonWriter& w, const TrainConfig& config);
-Result<TrainConfig> ParseTrainConfig(const JsonValue& value);
-void WriteClusterSpec(JsonWriter& w, const ClusterSpec& cluster);
-Result<ClusterSpec> ParseClusterSpec(const JsonValue& value);
+// Wire fields of a cluster spec (see src/common/json_fields.h), shared with
+// the artifact store's manifests. Instantiated for JsonFieldWriter and
+// JsonFieldReader.
+template <class V>
+void Fields(V& v, ClusterSpec& cluster);
 
 }  // namespace maya
 

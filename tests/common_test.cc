@@ -312,6 +312,28 @@ TEST(JsonTest, ParserHandlesUnicodeEscapes) {
   EXPECT_FALSE(ParseJson("[\"\\u1F60\"]").ok());  // above 0xFF unsupported
 }
 
+TEST(JsonTest, IntegersAreExactAndRangeChecked) {
+  Result<JsonValue> parsed = ParseJson(
+      R"([9007199254740993, 18446744073709551615, -9223372036854775808, 2.0, 1e3, 2.6,)"
+      R"( 1e300, -1, 18446744073709551616, -0])");
+  ASSERT_TRUE(parsed.ok());
+  const JsonArray& a = parsed->AsArray();
+  EXPECT_EQ(*ToInt(a[0]), 9007199254740993);
+  EXPECT_EQ(a[0].AsDouble(), 9007199254740992.0);  // the nearest double, as before
+  EXPECT_EQ(*ToUint(a[1]), 18446744073709551615ull);
+  EXPECT_FALSE(ToInt(a[1]).ok());
+  EXPECT_EQ(*ToInt(a[2]), INT64_MIN);
+  EXPECT_EQ(*ToInt(a[3]), 2);  // integral values convert whatever their spelling
+  EXPECT_EQ(*ToUint(a[4]), 1000u);
+  EXPECT_FALSE(ToInt(a[5]).ok());  // non-integral
+  EXPECT_FALSE(ToInt(a[6]).ok());  // out of range
+  EXPECT_FALSE(ToUint(a[6]).ok());
+  EXPECT_FALSE(ToUint(a[7]).ok());  // negative
+  EXPECT_FALSE(ToUint(a[8]).ok());  // 2^64
+  EXPECT_EQ(*ToInt(a[9]), 0);
+  EXPECT_TRUE(std::signbit(a[9].AsDouble()));
+}
+
 // ---- ThreadPool -------------------------------------------------------------------
 
 TEST(ThreadPoolTest, RunsAllTasks) {

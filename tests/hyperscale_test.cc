@@ -568,7 +568,7 @@ TEST_F(HyperscaleServiceTest, BatchPredictGroupingPreservesOrderAndResults) {
     one.payload = std::move(payload);
     const ServiceResponse answer = engine->Execute(one);
     CHECK(answer.ok) << answer.error;
-    return SinglePredictResult(answer);
+    return static_cast<PredictResult>(answer);
   };
   const PredictResult expect_a = single(a);
   const PredictResult expect_b = single(b);

@@ -211,6 +211,394 @@ TEST(ServiceProtocolTest, EveryPayloadVariantRoundTripsByteIdentical) {
   ExpectRequestFixedPoint(health);
 }
 
+// ---- Golden wire corpus -------------------------------------------------------
+//
+// The round-trip tests above only check that the writer and the parser agree
+// with each other; these fixtures pin the bytes themselves, so a renamed or
+// reordered key fails here even when both sides move together.
+
+std::vector<ServiceRequest> GoldenRequestFixtures() {
+  std::vector<ServiceRequest> fixtures;
+  auto add = [&fixtures](uint64_t id, ServicePayload payload, double deadline_ms = 0.0) {
+    ServiceRequest request;
+    request.id = id;
+    request.deadline_ms = deadline_ms;
+    request.payload = std::move(payload);
+    fixtures.push_back(std::move(request));
+  };
+  PredictPayload predict;
+  predict.model = TinyGpt();
+  predict.config = BaseConfig();
+  predict.config.sequence_parallel = true;
+  predict.virtual_folds = true;
+  predict.deployment = "h100x32";
+  add(1, predict, 1500.5);
+  BatchPredictPayload batch;
+  batch.model = TinyGpt();
+  batch.model.conv_stages.push_back({2, 256, 2});
+  batch.configs = {BaseConfig(), TrainConfig{}};
+  batch.configs[1].framework = ParallelFramework::kDeepSpeed;
+  batch.configs[1].zero_stage = 3;
+  batch.deduplicate_workers = false;
+  add(2, batch);
+  SearchPayload search;
+  search.model = TinyGpt();
+  search.search.algorithm = "random";
+  search.search.sample_budget = 64;
+  search.search.seed = 123456789;
+  search.global_batch = 32;
+  search.deployment = "a40";
+  add(3, search);
+  WhatIfOomPayload whatif;
+  whatif.model = TinyGpt();
+  whatif.config = BaseConfig();
+  whatif.selective_launch = true;
+  add(4, whatif);
+  TracePredictPayload trace_predict;
+  trace_predict.trace.world_size = 1;
+  WorkerTrace worker;
+  TraceOp op;
+  op.type = TraceOpType::kKernelLaunch;
+  op.kernel = MakeGemm(128, 64, 64, DType::kBf16);
+  worker.ops.push_back(op);
+  trace_predict.trace.workers.push_back(worker);
+  trace_predict.trace.folded_ranks.push_back({0});
+  add(5, trace_predict);
+  add(6, StatsPayload{});
+  add(7, CancelPayload{3});
+  add(8, MetricsPayload{});
+  add(9, DumpTracePayload{});
+  AddDeploymentPayload bundled;
+  bundled.name = "aux";
+  bundled.cluster = "h100x16";
+  bundled.sweep = "tiny";
+  bundled.bundle_dir = "/var/bundles/aux";
+  add(10, bundled);
+  AddDeploymentPayload trained;
+  trained.name = "cold";
+  trained.cluster = "v100x16";
+  add(11, trained);
+  add(12, RemoveDeploymentPayload{"aux"});
+  add(13, HealthPayload{});
+  return fixtures;
+}
+
+std::vector<ServiceResponse> GoldenResponseFixtures() {
+  std::vector<ServiceResponse> fixtures;
+  auto add = [&fixtures](uint64_t id, ServiceRequestKind kind) -> ServiceResponse& {
+    ServiceResponse& response = fixtures.emplace_back();
+    response.id = id;
+    response.kind = kind;
+    response.ok = true;
+    return response;
+  };
+  ServiceResponse& error = add(1, ServiceRequestKind::kSearch);
+  error.ok = false;
+  error.error = "queued weight 64.0 + 16.0 (search) exceeds bound 64.0";
+  error.error_code = kErrQueueFull;
+
+  PredictResult blown;
+  blown.oom = true;
+  blown.oom_detail = "rank 3: allocation of 2.0 GiB exceeds device memory";
+  blown.timings = {12.5, 3.25, 0.0, 0.0};
+  blown.estimation.kernel_ops = 7;
+  PredictResult fits;
+  fits.iteration_time_us = 123456.789;
+  fits.mfu = 0.421;
+  fits.peak_memory_bytes = 1ull << 33;
+  fits.timings = {810.125, 402.5, 47.75, 20.0625};
+  fits.estimation = {1400, 32, 96, 12, 40, 4};
+  fits.simulation = {8, 6, 2, 1, 1, 1, 0};
+  fits.trace_cache_hit = true;
+  AssignPredictResult(add(2, ServiceRequestKind::kPredict), blown);
+  AssignPredictResult(add(3, ServiceRequestKind::kPredict), fits);
+  AssignPredictResult(add(4, ServiceRequestKind::kTracePredict), fits);
+  add(5, ServiceRequestKind::kBatchPredict).batch = {fits, blown};
+
+  ServiceResponse& found = add(6, ServiceRequestKind::kSearch);
+  found.found = true;
+  found.best_config = BaseConfig();
+  found.best_mfu = 0.5125;
+  found.best_iteration_us = 98765.4321;
+  found.samples = 32;
+  found.executed = 20;
+  found.cached = 8;
+  found.skipped = 4;
+  found.search_oom = 3;
+  found.timings = {1000.5, 500.25, 60.125, 30.0};
+  found.estimation = {28000, 640, 1920, 240, 800, 80};
+  found.simulation = {160, 120, 40, 20, 20, 15, 5};
+  ServiceResponse& not_found = add(7, ServiceRequestKind::kSearch);
+  not_found.samples = 4;
+  not_found.skipped = 4;
+
+  ServiceResponse& stats = add(8, ServiceRequestKind::kStats);
+  stats.stats.submitted = 40;
+  stats.stats.completed = 37;
+  stats.stats.rejected = 1;
+  stats.stats.cancelled = 1;
+  stats.stats.deadline_expired = 1;
+  stats.stats.queue_depth = 2;
+  stats.stats.queued_weight = 17.0;
+  stats.stats.max_queue_weight = 64.0;
+  stats.stats.deployments = {"default", "h100x32"};
+  stats.stats.registered_deployments = 1;
+  stats.stats.derived_deployments = 1;
+  stats.stats.stage_totals = {4000.5, 2000.25, 300.125, 100.0625};
+  stats.stats.timed_requests = 30;
+  stats.stats.kernel_cache = {90, 10, 10, 0, 10};
+  stats.stats.collective_cache = {45, 5, 5, 1, 4};
+  stats.stats.sim_cache = {20, 10, 10, 2, 8};
+  DeploymentStats deployment;
+  deployment.name = "h100x32";
+  deployment.derived = true;
+  deployment.stage_totals = {40.5, 20.25, 3.125, 1.0625};
+  deployment.timed_requests = 3;
+  deployment.cancelled = 1;
+  deployment.deadline_expired = 2;
+  deployment.kernel_cache = {9, 1, 1, 0, 1};
+  stats.stats.per_deployment.push_back(deployment);
+  stats.stats.latency.push_back(
+      {"predict", {3, 12.5, 80.25, 95.125}, {3, 1500.5, 2200.75, 2300.875}});
+
+  add(9, ServiceRequestKind::kCancel).cancel_found = true;
+
+  ServiceResponse& metrics = add(10, ServiceRequestKind::kMetrics);
+  MetricFamily counter{"maya_requests_completed_total", MetricType::kCounter,
+                       "Completed requests", {}};
+  counter.series.emplace_back().value = 42.0;
+  MetricFamily gauge{"maya_queue_depth", MetricType::kGauge, "", {}};
+  MetricSeries& labelled = gauge.series.emplace_back();
+  labelled.labels = "deployment=\"default\"";
+  labelled.value = 2.0;
+  MetricFamily histogram{"maya_request_latency_us", MetricType::kHistogram, "Latency", {}};
+  MetricSeries series;
+  series.labels = "kind=\"predict\"";
+  series.count = 7;
+  series.sum_us = 1234.5;
+  series.buckets = {{128.0, 3}, {256.0, 4}};
+  series.p50_us = 150.5;
+  series.p95_us = 240.25;
+  series.p99_us = 250.125;
+  histogram.series.push_back(series);
+  metrics.metrics = {counter, gauge, histogram};
+
+  ServiceResponse& trace_file = add(11, ServiceRequestKind::kDumpTrace);
+  trace_file.trace_events = 9;
+  trace_file.trace_path = "traces/trace_1.json";
+  ServiceResponse& trace_inline = add(12, ServiceRequestKind::kDumpTrace);
+  trace_inline.trace_events = 1;
+  trace_inline.trace_json = R"({"traceEvents":[{"name":"emulate","ph":"X"}]})";
+
+  ServiceResponse& added = add(13, ServiceRequestKind::kAddDeployment);
+  added.deployment = "aux";
+  added.warmed_entries = 1234;
+  ServiceResponse& removed = add(14, ServiceRequestKind::kRemoveDeployment);
+  removed.deployment = "aux";
+  removed.removed = true;
+
+  ServiceResponse& health = add(15, ServiceRequestKind::kHealth);
+  health.health.ready = true;
+  health.health.journal_enabled = true;
+  health.health.journal_appends = 17;
+  health.health.journal_lag = 3;
+  health.health.checkpoints = 5;
+  health.health.last_checkpoint_age_s = 12.625;
+  health.health.replayed_records = 4;
+  health.health.torn_records_dropped = 1;
+  health.health.queue_depth = 2;
+  return fixtures;
+}
+
+// Captured from the serializer before the field-visitor codec replaced the
+// hand-paired writers and parsers; must never change without a protocol bump.
+const char* const kGoldenRequests[] = {
+    R"json({"id":1,"kind":"predict","deadline_ms":1500.5,"model":{"name":"tiny-gpt",)json"
+    R"json("family":"GPT","num_layers":8,"hidden_size":1024,"num_heads":16,"vocab_size":8192,)json"
+    R"json("seq_length":512,"ffn_multiplier":4,"image_size":224,"stem_channels":64,)json"
+    R"json("num_classes":1000,"conv_stages":[]},"config":{"framework":"Megatron-LM",)json"
+    R"json("global_batch_size":32,"tensor_parallel":2,"pipeline_parallel":2,)json"
+    R"json("microbatch_multiplier":2,"virtual_pipeline_stages":1,"sequence_parallel":true,)json"
+    R"json("activation_recomputation":false,"distributed_optimizer":false,"zero_stage":0,)json"
+    R"json("activation_offload":false,"torch_compile":false},"deduplicate_workers":true,)json"
+    R"json("selective_launch":false,"virtual_folds":true,"deployment":"h100x32"})json",
+    R"json({"id":2,"kind":"batch_predict","model":{"name":"tiny-gpt","family":"GPT",)json"
+    R"json("num_layers":8,"hidden_size":1024,"num_heads":16,"vocab_size":8192,)json"
+    R"json("seq_length":512,"ffn_multiplier":4,"image_size":224,"stem_channels":64,)json"
+    R"json("num_classes":1000,"conv_stages":[{"blocks":2,"channels":256,"stride":2}]},)json"
+    R"json("configs":[{"framework":"Megatron-LM","global_batch_size":32,"tensor_parallel":2,)json"
+    R"json("pipeline_parallel":2,"microbatch_multiplier":2,"virtual_pipeline_stages":1,)json"
+    R"json("sequence_parallel":false,"activation_recomputation":false,)json"
+    R"json("distributed_optimizer":false,"zero_stage":0,"activation_offload":false,)json"
+    R"json("torch_compile":false},{"framework":"DeepSpeed","global_batch_size":256,)json"
+    R"json("tensor_parallel":1,"pipeline_parallel":1,"microbatch_multiplier":1,)json"
+    R"json("virtual_pipeline_stages":1,"sequence_parallel":false,)json"
+    R"json("activation_recomputation":false,"distributed_optimizer":false,"zero_stage":3,)json"
+    R"json("activation_offload":false,"torch_compile":false}],"deduplicate_workers":false,)json"
+    R"json("selective_launch":false,"virtual_folds":false})json",
+    R"json({"id":3,"kind":"search","model":{"name":"tiny-gpt","family":"GPT","num_layers":8,)json"
+    R"json("hidden_size":1024,"num_heads":16,"vocab_size":8192,"seq_length":512,)json"
+    R"json("ffn_multiplier":4,"image_size":224,"stem_channels":64,"num_classes":1000,)json"
+    R"json("conv_stages":[]},"search":{"algorithm":"random","sample_budget":64,)json"
+    R"json("enable_pruning":true,"enable_cache":true,"deduplicate_workers":true,)json"
+    R"json("selective_launch":false,"virtual_folds":false,"concurrency":1,)json"
+    R"json("early_stop_patience":20,"seed":123456789},"global_batch":32,"deployment":"a40"})json",
+    R"json({"id":4,"kind":"whatif_oom","model":{"name":"tiny-gpt","family":"GPT",)json"
+    R"json("num_layers":8,"hidden_size":1024,"num_heads":16,"vocab_size":8192,)json"
+    R"json("seq_length":512,"ffn_multiplier":4,"image_size":224,"stem_channels":64,)json"
+    R"json("num_classes":1000,"conv_stages":[]},"config":{"framework":"Megatron-LM",)json"
+    R"json("global_batch_size":32,"tensor_parallel":2,"pipeline_parallel":2,)json"
+    R"json("microbatch_multiplier":2,"virtual_pipeline_stages":1,"sequence_parallel":false,)json"
+    R"json("activation_recomputation":false,"distributed_optimizer":false,"zero_stage":0,)json"
+    R"json("activation_offload":false,"torch_compile":false},"deduplicate_workers":true,)json"
+    R"json("selective_launch":true,"virtual_folds":false})json",
+    R"json({"id":5,"kind":"trace_predict","trace":{"world_size":1,"comms":[],)json"
+    R"json("folded_spans":[[[0,1,1]]],"workers":[{"rank":-1,"comm_init_only":false,)json"
+    R"json("duplicate_of":-1,"peak_device_bytes":0,"final_device_bytes":0,"comm_inits":[],)json"
+    R"json("events":[{"type":"kernel_launch","stream":0,"host_delay_us":0,)json"
+    R"json("kernel":{"kind":"Gemm","op":"cublasSgemm_v2","dtype":"bf16","params":[128,64,64,)json"
+    R"json(1,0,0,0,0],"flops":1048576,"bytes_read":24576,"bytes_written":16384}}]}]}})json",
+    R"json({"id":6,"kind":"stats"})json",
+    R"json({"id":7,"kind":"cancel","target_id":3})json",
+    R"json({"id":8,"kind":"metrics"})json",
+    R"json({"id":9,"kind":"dump_trace"})json",
+    R"json({"id":10,"kind":"add_deployment","name":"aux","cluster":"h100x16","sweep":"tiny",)json"
+    R"json("bundle_dir":"/var/bundles/aux"})json",
+    R"json({"id":11,"kind":"add_deployment","name":"cold","cluster":"v100x16",)json"
+    R"json("sweep":"small"})json",
+    R"json({"id":12,"kind":"remove_deployment","name":"aux"})json",
+    R"json({"id":13,"kind":"health"})json",
+};
+
+const char* const kGoldenResponses[] = {
+    R"json({"id":1,"kind":"search","ok":false,)json"
+    R"json("error":"queued weight 64.0 + 16.0 (search) exceeds bound 64.0",)json"
+    R"json("error_code":"QUEUE_FULL"})json",
+    R"json({"id":2,"kind":"predict","ok":true,"oom":true,)json"
+    R"json("oom_detail":"rank 3: allocation of 2.0 GiB exceeds device memory",)json"
+    R"json("emulation_ms":12.5,"collation_ms":3.25,"estimation_ms":0,"simulation_ms":0,)json"
+    R"json("estimation":{"kernel_ops":7,"unique_kernels":0,"collective_ops":0,)json"
+    R"json("unique_collectives":0,"cache_hits":0,"cache_misses":0,"hit_rate":0},)json"
+    R"json("simulation":{"workers":0,"folded_workers":0,"components":0,)json"
+    R"json("replicated_components":0,"simulated_components":0,"cache_hits":0,)json"
+    R"json("cache_misses":0,"hit_rate":0},"trace_cache_hit":false})json",
+    R"json({"id":3,"kind":"predict","ok":true,"oom":false,)json"
+    R"json("iteration_time_us":"40fe240c9fbe76c9","iteration_time_us_approx":123456.789,)json"
+    R"json("mfu":"3fdaf1a9fbe76c8b","mfu_approx":0.421,"peak_memory_bytes":8589934592,)json"
+    R"json("emulation_ms":810.125,"collation_ms":402.5,"estimation_ms":47.75,)json"
+    R"json("simulation_ms":20.0625,"estimation":{"kernel_ops":1400,"unique_kernels":32,)json"
+    R"json("collective_ops":96,"unique_collectives":12,"cache_hits":40,"cache_misses":4,)json"
+    R"json("hit_rate":0.909090909},"simulation":{"workers":8,"folded_workers":6,)json"
+    R"json("components":2,"replicated_components":1,"simulated_components":1,"cache_hits":1,)json"
+    R"json("cache_misses":0,"hit_rate":1},"trace_cache_hit":true})json",
+    R"json({"id":4,"kind":"trace_predict","ok":true,"oom":false,)json"
+    R"json("iteration_time_us":"40fe240c9fbe76c9","iteration_time_us_approx":123456.789,)json"
+    R"json("mfu":"3fdaf1a9fbe76c8b","mfu_approx":0.421,"peak_memory_bytes":8589934592,)json"
+    R"json("emulation_ms":810.125,"collation_ms":402.5,"estimation_ms":47.75,)json"
+    R"json("simulation_ms":20.0625,"estimation":{"kernel_ops":1400,"unique_kernels":32,)json"
+    R"json("collective_ops":96,"unique_collectives":12,"cache_hits":40,"cache_misses":4,)json"
+    R"json("hit_rate":0.909090909},"simulation":{"workers":8,"folded_workers":6,)json"
+    R"json("components":2,"replicated_components":1,"simulated_components":1,"cache_hits":1,)json"
+    R"json("cache_misses":0,"hit_rate":1},"trace_cache_hit":true})json",
+    R"json({"id":5,"kind":"batch_predict","ok":true,"items":[{"oom":false,)json"
+    R"json("iteration_time_us":"40fe240c9fbe76c9","iteration_time_us_approx":123456.789,)json"
+    R"json("mfu":"3fdaf1a9fbe76c8b","mfu_approx":0.421,"peak_memory_bytes":8589934592,)json"
+    R"json("emulation_ms":810.125,"collation_ms":402.5,"estimation_ms":47.75,)json"
+    R"json("simulation_ms":20.0625,"estimation":{"kernel_ops":1400,"unique_kernels":32,)json"
+    R"json("collective_ops":96,"unique_collectives":12,"cache_hits":40,"cache_misses":4,)json"
+    R"json("hit_rate":0.909090909},"simulation":{"workers":8,"folded_workers":6,)json"
+    R"json("components":2,"replicated_components":1,"simulated_components":1,"cache_hits":1,)json"
+    R"json("cache_misses":0,"hit_rate":1},"trace_cache_hit":true},{"oom":true,)json"
+    R"json("oom_detail":"rank 3: allocation of 2.0 GiB exceeds device memory",)json"
+    R"json("emulation_ms":12.5,"collation_ms":3.25,"estimation_ms":0,"simulation_ms":0,)json"
+    R"json("estimation":{"kernel_ops":7,"unique_kernels":0,"collective_ops":0,)json"
+    R"json("unique_collectives":0,"cache_hits":0,"cache_misses":0,"hit_rate":0},)json"
+    R"json("simulation":{"workers":0,"folded_workers":0,"components":0,)json"
+    R"json("replicated_components":0,"simulated_components":0,"cache_hits":0,)json"
+    R"json("cache_misses":0,"hit_rate":0},"trace_cache_hit":false}]})json",
+    R"json({"id":6,"kind":"search","ok":true,"found":true,)json"
+    R"json("best_config":{"framework":"Megatron-LM","global_batch_size":32,)json"
+    R"json("tensor_parallel":2,"pipeline_parallel":2,"microbatch_multiplier":2,)json"
+    R"json("virtual_pipeline_stages":1,"sequence_parallel":false,)json"
+    R"json("activation_recomputation":false,"distributed_optimizer":false,"zero_stage":0,)json"
+    R"json("activation_offload":false,"torch_compile":false},"best_mfu":"3fe0666666666666",)json"
+    R"json("best_mfu_approx":0.5125,"best_iteration_us":"40f81cd6e9e1b08a","samples":32,)json"
+    R"json("executed":20,"cached":8,"skipped":4,"oom_trials":3,"emulation_ms":1000.5,)json"
+    R"json("collation_ms":500.25,"estimation_ms":60.125,"simulation_ms":30,)json"
+    R"json("estimation":{"kernel_ops":28000,"unique_kernels":640,"collective_ops":1920,)json"
+    R"json("unique_collectives":240,"cache_hits":800,"cache_misses":80,)json"
+    R"json("hit_rate":0.909090909},"simulation":{"workers":160,"folded_workers":120,)json"
+    R"json("components":40,"replicated_components":20,"simulated_components":20,)json"
+    R"json("cache_hits":15,"cache_misses":5,"hit_rate":0.75}})json",
+    R"json({"id":7,"kind":"search","ok":true,"found":false,"samples":4,"executed":0,)json"
+    R"json("cached":0,"skipped":4,"oom_trials":0,"emulation_ms":0,"collation_ms":0,)json"
+    R"json("estimation_ms":0,"simulation_ms":0,"estimation":{"kernel_ops":0,)json"
+    R"json("unique_kernels":0,"collective_ops":0,"unique_collectives":0,"cache_hits":0,)json"
+    R"json("cache_misses":0,"hit_rate":0},"simulation":{"workers":0,"folded_workers":0,)json"
+    R"json("components":0,"replicated_components":0,"simulated_components":0,"cache_hits":0,)json"
+    R"json("cache_misses":0,"hit_rate":0}})json",
+    R"json({"id":8,"kind":"stats","ok":true,"submitted":40,"completed":37,"rejected":1,)json"
+    R"json("cancelled":1,"deadline_expired":1,"queue_depth":2,"queued_weight":17,)json"
+    R"json("max_queue_weight":64,"deployments":["default","h100x32"],)json"
+    R"json("registered_deployments":1,"derived_deployments":1,"timed_requests":30,)json"
+    R"json("stage_totals_ms":{"emulation":4000.5,"collation":2000.25,"estimation":300.125,)json"
+    R"json("simulation":100.0625},"kernel_cache":{"hits":90,"misses":10,"insertions":10,)json"
+    R"json("evictions":0,"entries":10},"collective_cache":{"hits":45,"misses":5,)json"
+    R"json("insertions":5,"evictions":1,"entries":4},"trace_cache":{"hits":0,"misses":0,)json"
+    R"json("insertions":0,"evictions":0,"entries":0},"sim_cache":{"hits":20,"misses":10,)json"
+    R"json("insertions":10,"evictions":2,"entries":8},"per_deployment":[{"name":"h100x32",)json"
+    R"json("derived":true,"timed_requests":3,"cancelled":1,"deadline_expired":2,)json"
+    R"json("stage_totals_ms":{"emulation":40.5,"collation":20.25,"estimation":3.125,)json"
+    R"json("simulation":1.0625},"kernel_cache":{"hits":9,"misses":1,"insertions":1,)json"
+    R"json("evictions":0,"entries":1},"collective_cache":{"hits":0,"misses":0,"insertions":0,)json"
+    R"json("evictions":0,"entries":0},"trace_cache":{"hits":0,"misses":0,"insertions":0,)json"
+    R"json("evictions":0,"entries":0},"sim_cache":{"hits":0,"misses":0,"insertions":0,)json"
+    R"json("evictions":0,"entries":0}}],"latency":[{"kind":"predict",)json"
+    R"json("queue_wait_us":{"count":3,"p50_us":12.5,"p95_us":80.25,"p99_us":95.125},)json"
+    R"json("latency_us":{"count":3,"p50_us":1500.5,"p95_us":2200.75,"p99_us":2300.875}}]})json",
+    R"json({"id":9,"kind":"cancel","ok":true,"cancel_found":true})json",
+    R"json({"id":10,"kind":"metrics","ok":true,)json"
+    R"json("families":[{"name":"maya_requests_completed_total","type":"counter",)json"
+    R"json("help":"Completed requests","series":[{"value":42}]},{"name":"maya_queue_depth",)json"
+    R"json("type":"gauge","series":[{"labels":"deployment=\"default\"","value":2}]},)json"
+    R"json({"name":"maya_request_latency_us","type":"histogram","help":"Latency",)json"
+    R"json("series":[{"labels":"kind=\"predict\"","count":7,"sum_us":1234.5,"p50_us":150.5,)json"
+    R"json("p95_us":240.25,"p99_us":250.125,"buckets":[{"le":128,"count":3},{"le":256,)json"
+    R"json("count":4}]}]}]})json",
+    R"json({"id":11,"kind":"dump_trace","ok":true,"trace_events":9,)json"
+    R"json("trace_path":"traces/trace_1.json"})json",
+    R"json({"id":12,"kind":"dump_trace","ok":true,"trace_events":1,)json"
+    R"json("trace_json":"{\"traceEvents\":[{\"name\":\"emulate\",\"ph\":\"X\"}]}"})json",
+    R"json({"id":13,"kind":"add_deployment","ok":true,"deployment":"aux","trained":false,)json"
+    R"json("warmed_entries":1234})json",
+    R"json({"id":14,"kind":"remove_deployment","ok":true,"deployment":"aux","removed":true})json",
+    R"json({"id":15,"kind":"health","ok":true,"live":true,"ready":true,"draining":false,)json"
+    R"json("journal_enabled":true,"journal_appends":17,"journal_lag":3,)json"
+    R"json("journal_append_failures":0,"checkpoints":5,"last_checkpoint_age_s":12.625,)json"
+    R"json("replayed_records":4,"torn_records_dropped":1,"queue_depth":2})json",
+};
+
+TEST(ServiceProtocolTest, GoldenWireCorpusIsByteExact) {
+  const std::vector<ServiceRequest> requests = GoldenRequestFixtures();
+  ASSERT_EQ(requests.size(), std::size(kGoldenRequests));
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const std::string golden = kGoldenRequests[i];
+    EXPECT_EQ(SerializeServiceRequest(requests[i]), golden);
+    Result<ServiceRequest> parsed = ParseServiceRequest(golden);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << golden;
+    EXPECT_EQ(SerializeServiceRequest(*parsed), golden);
+  }
+  const std::vector<ServiceResponse> responses = GoldenResponseFixtures();
+  ASSERT_EQ(responses.size(), std::size(kGoldenResponses));
+  for (size_t i = 0; i < responses.size(); ++i) {
+    const std::string golden = kGoldenResponses[i];
+    EXPECT_EQ(SerializeServiceResponse(responses[i]), golden);
+    Result<ServiceResponse> parsed = ParseServiceResponse(golden);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << golden;
+    EXPECT_EQ(SerializeServiceResponse(*parsed), golden);
+  }
+}
+
 TEST(ServiceProtocolTest, HealthResponseRoundTripsEveryField) {
   ServiceResponse response;
   response.id = 60;
@@ -477,6 +865,66 @@ TEST(ServiceProtocolTest, WrongTypedFieldsRejectedNotAborted) {
       ParseServiceRequest(
           R"({"id":1,"kind":"predict","model":{"name":"m","family":"GPT"},"config":{},"deployment":7})")
           .ok());
+  // Integers that do not fit the field's type are rejected, not wrapped,
+  // rounded or saturated, and the error names the key.
+  const std::pair<const char*, const char*> bad_integers[] = {
+      {"tensor_parallel", "4294967298"}, {"pipeline_parallel", "2.6"},
+      {"global_batch_size", "1e300"}};
+  for (const auto& [key, value] : bad_integers) {
+    const std::string line =
+        std::string(R"({"id":1,"kind":"predict","model":{"name":"m","family":"GPT"},)") +
+        R"("config":{")" + key + R"(":)" + value + "}}";
+    Result<ServiceRequest> parsed = ParseServiceRequest(line);
+    ASSERT_FALSE(parsed.ok()) << line;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << line;
+    EXPECT_NE(parsed.status().message().find(std::string("config.") + key), std::string::npos)
+        << parsed.status().ToString();
+  }
+}
+
+TEST(ServiceProtocolTest, IntegersParseExactly) {
+  // Both exceed 2^53, where a double-typed DOM would round them.
+  Result<ServiceRequest> parsed = ParseServiceRequest(
+      R"({"id":9007199254740993,"kind":"search","model":{"name":"m","family":"GPT"},)"
+      R"("search":{"seed":18446744073709551615}})");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->id, 9007199254740993ull);
+  EXPECT_EQ(std::get<SearchPayload>(parsed->payload).search.seed, 18446744073709551615ull);
+}
+
+TEST(ServiceProtocolTest, WrongTypedResponseFieldsRejectedNotAborted) {
+  // A client must survive a truncated or mistyped server answer: every line
+  // here comes back as an error status instead of a CHECK abort.
+  const char* const lines[] = {
+      R"({"id":1,"kind":"stats","ok":true})",
+      R"({"id":"x","kind":"stats","ok":true})",
+      R"({"id":1,"kind":"search","ok":true,"found":false,"samples":"x","estimation":{}})",
+      // One required key missing per response kind.
+      R"({"id":1,"kind":"search","ok":false,"error":"e"})",
+      R"({"id":1,"kind":"predict","ok":true,"oom":true,"emulation_ms":0,"collation_ms":0,)"
+      R"("estimation_ms":0,"simulation_ms":0,"estimation":{}})",
+      R"({"id":1,"kind":"whatif_oom","ok":true,"oom":false,"mfu":"0000000000000000"})",
+      R"({"id":1,"kind":"trace_predict","ok":true})",
+      R"({"id":1,"kind":"batch_predict","ok":true})",
+      R"({"id":1,"kind":"batch_predict","ok":true,"items":[{"oom":7}]})",
+      R"({"id":1,"kind":"search","ok":true,"found":true,"samples":1,"executed":1,"cached":0,)"
+      R"("skipped":0,"oom_trials":0,"estimation":{}})",
+      R"({"id":1,"kind":"stats","ok":true,"submitted":1,"completed":1,"rejected":0,)"
+      R"("cancelled":0,"deadline_expired":0,"queue_depth":0})",
+      R"({"id":1,"kind":"cancel","ok":true})",
+      R"({"id":1,"kind":"metrics","ok":true})",
+      R"({"id":1,"kind":"metrics","ok":true,"families":[{"name":"m","type":"gauge","series":[{}]}]})",
+      R"({"id":1,"kind":"dump_trace","ok":true})",
+      R"({"id":1,"kind":"add_deployment","ok":true,"deployment":"aux","trained":true})",
+      R"({"id":1,"kind":"remove_deployment","ok":true,"deployment":"aux"})",
+      R"({"id":1,"kind":"health","ok":true,"live":true,"ready":true})",
+      R"({"id":1,"kind":"health","ok":true,"live":true,"ready":true,"draining":"no"})",
+  };
+  for (const char* line : lines) {
+    Result<ServiceResponse> parsed = ParseServiceResponse(line);
+    EXPECT_FALSE(parsed.ok()) << line;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << line;
+  }
 }
 
 TEST(ServiceProtocolTest, ErrorResponseRoundTrip) {

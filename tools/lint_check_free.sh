@@ -52,6 +52,7 @@ src/net/tcp_client.h
 src/service/fleet_journal.cc
 src/service/fleet_journal.h
 src/common/cancellation.h
+src/common/json_fields.h
 "
 
 status=0

@@ -74,6 +74,7 @@
 //    "pipeline_parallel":2,"microbatch_multiplier":2}}
 //   {"id":2,"kind":"stats"}
 // EOF (or a line "shutdown") stops the server.
+#include <pthread.h>
 #include <unistd.h>
 
 #include <csignal>
@@ -124,9 +125,12 @@ struct ServeFlags {
   uint64_t checkpoint_every = 4;
 };
 
-// SIGTERM → graceful drain. The handler only sets a flag; it is installed
-// WITHOUT SA_RESTART so the blocking getline on stdin fails with EINTR and
-// the read loop falls through to the drain path.
+// SIGTERM → graceful drain. main() blocks SIGTERM before any thread starts,
+// so no worker thread can take it. --listen mode waits for it with
+// sigwait(); stdio mode unblocks it on the main thread only, where this
+// handler sets a flag. The handler is installed WITHOUT SA_RESTART so the
+// blocking getline on stdin fails with EINTR and the read loop falls
+// through to the drain path.
 volatile std::sig_atomic_t g_sigterm = 0;
 void HandleSigterm(int) { g_sigterm = 1; }
 
@@ -161,6 +165,13 @@ std::vector<std::string> SplitCommaList(const std::string& list) {
 
 int main(int argc, char** argv) {
   using namespace maya;
+
+  // Every thread inherits this mask: a SIGTERM sent during startup stays
+  // pending until main() is ready to drain.
+  sigset_t sigterm_set;
+  sigemptyset(&sigterm_set);
+  sigaddset(&sigterm_set, SIGTERM);
+  pthread_sigmask(SIG_BLOCK, &sigterm_set, nullptr);
 
   ServeFlags flags;
   for (int i = 1; i < argc; ++i) {
@@ -441,15 +452,6 @@ int main(int argc, char** argv) {
                cluster->ToString().c_str(), flags.workers, flags.queue_weight,
                engine->registry().Registered().size());
 
-  // Graceful-drain signal: no SA_RESTART, so a SIGTERM interrupts the
-  // blocking stdin read below instead of being deferred to the next line.
-  struct sigaction drain_action;
-  std::memset(&drain_action, 0, sizeof(drain_action));
-  drain_action.sa_handler = HandleSigterm;
-  sigemptyset(&drain_action.sa_mask);
-  drain_action.sa_flags = 0;
-  sigaction(SIGTERM, &drain_action, nullptr);
-
   // Responses print in submission order: a writer drains futures FIFO while
   // workers execute concurrently behind them.
   std::deque<std::future<ServiceResponse>> inflight;
@@ -479,15 +481,25 @@ int main(int argc, char** argv) {
     // --listen=HOST:0 can discover the endpoint.
     std::fprintf(stderr, "maya_serve: listening on %s:%d\n", listen_host.c_str(),
                  server->port());
-    while (!g_sigterm) {
-      pause();  // SIGTERM (no SA_RESTART) interrupts
-    }
+    int received = 0;
+    sigwait(&sigterm_set, &received);
     std::fprintf(stderr, "maya_serve: SIGTERM, draining...\n");
     // Connection-level drain first (stop accepting, answer and flush
     // in-flight frames), then the engine-level drain below is a formality.
     server->Drain();
   }
 
+  if (server == nullptr) {
+    // Graceful-drain signal: no SA_RESTART, so a SIGTERM interrupts the
+    // blocking stdin read below instead of being deferred to the next line.
+    struct sigaction drain_action;
+    std::memset(&drain_action, 0, sizeof(drain_action));
+    drain_action.sa_handler = HandleSigterm;
+    sigemptyset(&drain_action.sa_mask);
+    drain_action.sa_flags = 0;
+    sigaction(SIGTERM, &drain_action, nullptr);
+    pthread_sigmask(SIG_UNBLOCK, &sigterm_set, nullptr);
+  }
   std::string line;
   while (server == nullptr && !g_sigterm && std::getline(std::cin, line)) {
     if (line.empty()) {
