@@ -351,18 +351,6 @@ class Parser {
 
 Result<JsonValue> ParseJson(const std::string& text) { return Parser(text).Parse(); }
 
-Status RequireKeys(const JsonValue& value, std::initializer_list<const char*> keys) {
-  if (!value.is_object()) {
-    return Status::InvalidArgument("expected JSON object");
-  }
-  for (const char* key : keys) {
-    if (!value.Has(key)) {
-      return Status::InvalidArgument(std::string("missing key '") + key + "'");
-    }
-  }
-  return Status::Ok();
-}
-
 Result<bool> ToBool(const JsonValue& value) {
   if (value.type() != JsonValue::Type::kBool) {
     return Status::InvalidArgument("expected JSON boolean");
@@ -405,10 +393,15 @@ Result<uint64_t> ToUint(const JsonValue& value) {
 }
 
 Result<std::string> ToString(const JsonValue& value) {
+  MAYA_ASSIGN_OR_RETURN(const std::string_view text, ToStringView(value));
+  return std::string(text);
+}
+
+Result<std::string_view> ToStringView(const JsonValue& value) {
   if (value.type() != JsonValue::Type::kString) {
     return Status::InvalidArgument("expected JSON string");
   }
-  return value.AsString();
+  return std::string_view(value.AsString());
 }
 
 Result<const JsonArray*> ToArray(const JsonValue& value) {

@@ -73,10 +73,6 @@ class JsonValue {
 
 Result<JsonValue> ParseJson(const std::string& text);
 
-// InvalidArgument unless `value` is an object containing every key — the
-// strict-parsing precondition shared by the trace/estimator/service codecs.
-Status RequireKeys(const JsonValue& value, std::initializer_list<const char*> keys);
-
 // Non-aborting typed conversions for untrusted input (wire payloads): the
 // member accessors above CHECK-fail on type mismatch, which is correct for
 // trusted in-repo data but would let one malformed client request abort a
@@ -88,6 +84,8 @@ Result<double> ToNumber(const JsonValue& value);
 Result<int64_t> ToInt(const JsonValue& value);
 Result<uint64_t> ToUint(const JsonValue& value);  // non-negative
 Result<std::string> ToString(const JsonValue& value);
+// Borrowed view into `value`; valid while `value` lives.
+Result<std::string_view> ToStringView(const JsonValue& value);
 // Borrowed pointer into `value`; valid while `value` lives.
 Result<const JsonArray*> ToArray(const JsonValue& value);
 Result<const JsonObject*> ToObject(const JsonValue& value);

@@ -1,6 +1,7 @@
 #include "src/common/strings.h"
 
 #include <bit>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -62,16 +63,17 @@ std::string DoubleBits(double value) {
                    static_cast<unsigned long long>(std::bit_cast<uint64_t>(value)));
 }
 
-Result<double> DoubleFromBits(const std::string& hex) {
+Result<double> DoubleFromBits(std::string_view hex) {
   if (hex.size() != 16) {
-    return Status::InvalidArgument("double bit pattern must be 16 hex digits: '" + hex + "'");
+    return Status::InvalidArgument("double bit pattern must be 16 hex digits: '" +
+                                   std::string(hex) + "'");
   }
-  char* end = nullptr;
-  const unsigned long long bits = std::strtoull(hex.c_str(), &end, 16);
-  if (end != hex.c_str() + hex.size()) {
-    return Status::InvalidArgument("bad double bit pattern '" + hex + "'");
+  uint64_t bits = 0;
+  const auto [end, error] = std::from_chars(hex.data(), hex.data() + hex.size(), bits, 16);
+  if (error != std::errc() || end != hex.data() + hex.size()) {
+    return Status::InvalidArgument("bad double bit pattern '" + std::string(hex) + "'");
   }
-  return std::bit_cast<double>(static_cast<uint64_t>(bits));
+  return std::bit_cast<double>(bits);
 }
 
 }  // namespace maya

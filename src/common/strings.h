@@ -4,6 +4,7 @@
 
 #include <cstdarg>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/status.h"
@@ -23,7 +24,7 @@ std::string HumanDuration(double microseconds);
 // Bit-exact double <-> 16-hex-digit IEEE-754 pattern: how the JSON codecs
 // carry doubles that must survive a round trip unchanged.
 std::string DoubleBits(double value);
-Result<double> DoubleFromBits(const std::string& hex);
+Result<double> DoubleFromBits(std::string_view hex);
 
 }  // namespace maya
 

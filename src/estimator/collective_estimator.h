@@ -45,7 +45,8 @@ class ProfiledCollectiveEstimator final : public CollectiveEstimator {
   size_t group_count() const { return tables_.size(); }
 
  private:
-  friend struct CollectiveEstimatorSerializer;  // src/estimator/serialization.cc
+  template <class V>
+  friend void Fields(V& v, ProfiledCollectiveEstimator& estimator);  // serialization.cc
 
   struct Key {
     CollectiveKind kind;

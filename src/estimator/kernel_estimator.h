@@ -67,7 +67,8 @@ class RandomForestKernelEstimator final : public KernelRuntimeEstimator {
   mutable std::atomic<uint64_t> fallback_predictions{0};
 
  private:
-  friend struct ForestSerializer;  // src/estimator/serialization.cc
+  template <class V>
+  friend void Fields(V& v, RandomForestKernelEstimator& estimator);  // serialization.cc
 
   RandomForestOptions options_;
   std::map<KernelKind, RandomForestRegressor> forests_;

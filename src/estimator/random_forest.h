@@ -46,7 +46,8 @@ class RegressionTree {
   size_t node_count() const { return feature_.size(); }
 
  private:
-  friend struct ForestSerializer;  // src/estimator/serialization.cc
+  template <class V>
+  friend void Fields(V& v, RegressionTree& tree);  // src/estimator/serialization.cc
 
   int32_t Build(const Dataset& data, std::vector<uint32_t>& indices, size_t begin, size_t end,
                 int depth, const RandomForestOptions& options, Rng& rng);
@@ -78,7 +79,8 @@ class RandomForestRegressor {
   const RandomForestOptions& options() const { return options_; }
 
  private:
-  friend struct ForestSerializer;  // src/estimator/serialization.cc
+  template <class V>
+  friend void Fields(V& v, RandomForestRegressor& forest);  // src/estimator/serialization.cc
 
   RandomForestOptions options_;
   std::vector<RegressionTree> trees_;

@@ -12,8 +12,7 @@
 #include <vector>
 
 #include "src/common/fault_injection.h"
-#include "src/common/json_parser.h"
-#include "src/common/json_writer.h"
+#include "src/common/json_fields.h"
 #include "src/common/strings.h"
 #include "src/estimator/serialization.h"
 #include "src/service/protocol.h"
@@ -28,15 +27,6 @@ constexpr const char* kKernelValidationFile = "kernel_validation.json";
 constexpr const char* kKernelCacheFile = "kernel_cache.json";
 constexpr const char* kCollectiveCacheFile = "collective_cache.json";
 constexpr const char* kSimCacheFile = "sim_cache.json";
-
-std::string Uint64Hex(uint64_t value) { return StrFormat("%016llx", static_cast<unsigned long long>(value)); }
-
-Result<uint64_t> Uint64FromHex(const std::string& hex) {
-  if (hex.size() != 16 || hex.find_first_not_of("0123456789abcdef") != std::string::npos) {
-    return Status::InvalidArgument("malformed 16-hex-digit value '" + hex + "'");
-  }
-  return std::strtoull(hex.c_str(), nullptr, 16);
-}
 
 // Durably syncs `fd`; EINVAL/ENOTSUP (fs without fsync, e.g. some tmpfs
 // setups) is treated as success — the data went through the page cache and
@@ -76,7 +66,125 @@ Status FsyncParentDir(const std::string& path) {
 //                          nothing is published.
 //   artifact.rename_torn — the tmp is complete but the publish rename never
 //                          happens; the target keeps its stale content.
-Status WriteFile(const std::string& path, const std::string& contents) {
+Result<JsonValue> ReadJsonFile(const std::string& path) {
+  Result<std::string> contents = ReadArtifactFile(path);
+  if (!contents.ok()) {
+    return contents.status();
+  }
+  Result<JsonValue> value = ParseJson(*contents);
+  if (!value.ok()) {
+    return Status::InvalidArgument(path + ": " + value.status().message());
+  }
+  return value;
+}
+
+// Reads and parses one bundle file into `value`. Bundle files are disk
+// state, not engine output: a torn or bit-flipped file must load as a clean
+// status (the caller falls back to cold start), never as an abort.
+template <class T>
+Status ReadFieldsFile(const std::string& path, T& value) {
+  MAYA_ASSIGN_OR_RETURN(const JsonValue json, ReadJsonFile(path));
+  return ReadJsonFields(json, value);
+}
+
+// Usage counters as bit-exact doubles, so a restore round-trips the totals.
+constexpr auto kStageTotalBits = [](auto& v, StageTimings& totals) {
+  v.Bits("emulation_ms", totals.emulation_ms);
+  v.Bits("collation_ms", totals.collation_ms);
+  v.Bits("estimation_ms", totals.estimation_ms);
+  v.Bits("simulation_ms", totals.simulation_ms);
+};
+
+// The keys a v2 deployment entry shares with the v1 manifest root.
+template <class V>
+void CacheCountFields(V& v, DeploymentManifest& deployment) {
+  v("cluster", deployment.cluster);
+  v("kernel_cache_entries", deployment.kernel_cache_entries, Presence::kOptional);
+  v("collective_cache_entries", deployment.collective_cache_entries, Presence::kOptional);
+  v("sim_cache_entries", deployment.sim_cache_entries, Presence::kOptional);
+}
+
+}  // namespace
+
+// ---- Bundle file formats --------------------------------------------------------
+
+template <class V>
+void Fields(V& v, KernelCacheEntry& entry) {
+  v("kernel", entry.first);
+  v.Bits("duration_us", entry.second);
+}
+
+template <class V>
+void Fields(V& v, CollectiveCacheEntry& entry) {
+  v("request", entry.first);
+  v.Bits("duration_us", entry.second);
+}
+
+template <class V>
+void Fields(V& v, WorkerSimMetrics& metrics) {
+  v.Bits("finish_us", metrics.finish_us);
+  v.Bits("host_busy_us", metrics.host_busy_us);
+  v.Bits("compute_busy_us", metrics.compute_busy_us);
+  v.Bits("comm_busy_us", metrics.comm_busy_us);
+  v.Bits("exposed_comm_us", metrics.exposed_comm_us);
+  v("events", metrics.events);
+}
+
+// Stage-4 component replays: the key is the canonical component fingerprint
+// and the metrics are bit-exact, so a warm-started server replays repeated
+// components with the saving process's exact timelines.
+template <class V>
+void Fields(V& v, SimCacheEntry& entry) {
+  v.Hex("key", entry.first);
+  if (entry.second == nullptr) {
+    entry.second = std::make_shared<ComponentSimResult>();  // reading a fresh entry
+  }
+  // Writing never mutates the shared result; reading fills the fresh one.
+  v("workers", const_cast<ComponentSimResult&>(*entry.second).workers);
+}
+
+template void Fields(JsonFieldWriter&, KernelCacheEntry&);
+template void Fields(JsonFieldReader&, KernelCacheEntry&);
+template void Fields(JsonFieldWriter&, CollectiveCacheEntry&);
+template void Fields(JsonFieldReader&, CollectiveCacheEntry&);
+template void Fields(JsonFieldWriter&, SimCacheEntry&);
+template void Fields(JsonFieldReader&, SimCacheEntry&);
+
+// A v2 deployment entry. Usage counters are written once a request was
+// timed, and read back together with them.
+template <class V>
+void Fields(V& v, DeploymentManifest& deployment) {
+  v("name", deployment.name);
+  v("dir", deployment.dir);
+  v.Validate([&deployment] {
+    const std::string& dir = deployment.dir;
+    if (dir.empty() || dir.find_first_of("/\\") != std::string::npos ||
+        dir.find("..") != std::string::npos) {
+      return Status::InvalidArgument("v2 manifest names unsafe deployment dir '" + dir + "'");
+    }
+    return Status::Ok();
+  });
+  CacheCountFields(v, deployment);
+  v("timed_requests", deployment.timed_requests, Presence::kOmitEmpty);
+  if (deployment.timed_requests > 0) {
+    v.Object("stage_totals", deployment.stage_totals, kStageTotalBits, Presence::kOptional);
+  }
+}
+
+// v1 holds one deployment whose files sit at the bundle root; v2 lists the
+// fleet. Other versions read as just their version number.
+template <class V>
+void Fields(V& v, ArtifactManifest& manifest) {
+  v("version", manifest.version);
+  if (manifest.version == kArtifactBundleVersion) {
+    manifest.deployments.resize(1);
+    CacheCountFields(v, manifest.deployments.front());
+  } else if (manifest.version == kArtifactBundleVersionMulti) {
+    v("deployments", manifest.deployments);
+  }
+}
+
+Status WriteArtifactFile(const std::string& path, const std::string& contents) {
   FaultInjection& faults = FaultInjection::Instance();
   std::string payload = contents;
   payload.push_back('\n');
@@ -127,7 +235,7 @@ Status WriteFile(const std::string& path, const std::string& contents) {
   return FsyncParentDir(path);
 }
 
-Result<std::string> ReadFile(const std::string& path) {
+Result<std::string> ReadArtifactFile(const std::string& path) {
   MAYA_RETURN_IF_ERROR(FaultInjection::Instance().MaybeFail("artifact.read"));
   std::ifstream in(path, std::ios::binary);
   if (!in) {
@@ -140,20 +248,6 @@ Result<std::string> ReadFile(const std::string& path) {
   }
   return contents.str();
 }
-
-Result<JsonValue> ReadJsonFile(const std::string& path) {
-  Result<std::string> contents = ReadFile(path);
-  if (!contents.ok()) {
-    return contents.status();
-  }
-  Result<JsonValue> value = ParseJson(*contents);
-  if (!value.ok()) {
-    return Status::InvalidArgument(path + ": " + value.status().message());
-  }
-  return value;
-}
-
-}  // namespace
 
 std::string ArtifactStore::ClusterSignature(const ClusterSpec& cluster) {
   return WriteJsonFields(cluster);
@@ -172,166 +266,75 @@ bool ArtifactStore::Exists() const {
   return std::filesystem::exists(PathFor("", kManifestFile), ec);
 }
 
-Status ArtifactStore::SaveDeploymentFiles(const std::string& subdir, const EstimatorBank& bank,
-                                          const MayaPipeline* pipeline,
-                                          uint64_t* kernel_entries,
-                                          uint64_t* collective_entries,
-                                          uint64_t* sim_entries) const {
-  if (bank.kernel == nullptr || bank.collective == nullptr) {
-    return Status::FailedPrecondition("estimator bank is not trained");
-  }
-  std::error_code ec;
-  std::filesystem::path dir(dir_);
-  if (!subdir.empty()) {
-    dir /= subdir;
-  }
-  std::filesystem::create_directories(dir, ec);
-  if (ec) {
-    return Status::Internal("cannot create bundle directory '" + dir.string() +
-                            "': " + ec.message());
-  }
-
-  {
-    JsonWriter w;
-    WriteKernelEstimator(w, *bank.kernel);
-    MAYA_RETURN_IF_ERROR(WriteFile(PathFor(subdir, kKernelEstimatorFile), w.str()));
-  }
-  {
-    JsonWriter w;
-    WriteCollectiveEstimator(w, *bank.collective);
-    MAYA_RETURN_IF_ERROR(WriteFile(PathFor(subdir, kCollectiveEstimatorFile), w.str()));
-  }
-  {
-    JsonWriter w;
-    WriteKernelDataset(w, bank.kernel_validation);
-    MAYA_RETURN_IF_ERROR(WriteFile(PathFor(subdir, kKernelValidationFile), w.str()));
-  }
-
-  *kernel_entries = 0;
-  *collective_entries = 0;
-  *sim_entries = 0;
-  if (pipeline == nullptr) {
-    // Estimator-only save: empty cache files keep the bundle loadable.
-    MAYA_RETURN_IF_ERROR(WriteFile(PathFor(subdir, kKernelCacheFile), "[]"));
-    MAYA_RETURN_IF_ERROR(WriteFile(PathFor(subdir, kCollectiveCacheFile), "[]"));
-    MAYA_RETURN_IF_ERROR(WriteFile(PathFor(subdir, kSimCacheFile), "[]"));
-    return Status::Ok();
-  }
-  const std::vector<std::pair<KernelDesc, double>> kernels =
-      pipeline->SnapshotKernelEstimates();
-  *kernel_entries = kernels.size();
-  JsonWriter kernel_writer;
-  kernel_writer.BeginArray();
-  for (const auto& [kernel, duration_us] : kernels) {
-    kernel_writer.BeginObject();
-    kernel_writer.Key("kernel");
-    WriteKernelDescExact(kernel_writer, kernel);
-    kernel_writer.Field("duration_us", std::string_view(DoubleBits(duration_us)));
-    kernel_writer.EndObject();
-  }
-  kernel_writer.EndArray();
-  MAYA_RETURN_IF_ERROR(WriteFile(PathFor(subdir, kKernelCacheFile), kernel_writer.str()));
-
-  const std::vector<std::pair<CollectiveRequest, double>> collectives =
-      pipeline->SnapshotCollectiveEstimates();
-  *collective_entries = collectives.size();
-  JsonWriter collective_writer;
-  collective_writer.BeginArray();
-  for (const auto& [request, duration_us] : collectives) {
-    collective_writer.BeginObject();
-    collective_writer.Key("request");
-    WriteCollectiveRequest(collective_writer, request);
-    collective_writer.Field("duration_us", std::string_view(DoubleBits(duration_us)));
-    collective_writer.EndObject();
-  }
-  collective_writer.EndArray();
-  MAYA_RETURN_IF_ERROR(
-      WriteFile(PathFor(subdir, kCollectiveCacheFile), collective_writer.str()));
-
-  // Stage-4 component replays: key is the canonical component fingerprint
-  // (uint64, hex), metrics are bit-exact doubles — a warm-started server
-  // replays repeated components with the saving process's exact timelines.
-  const std::vector<std::pair<uint64_t, std::shared_ptr<const ComponentSimResult>>>
-      components = pipeline->SnapshotSimCache();
-  *sim_entries = components.size();
-  JsonWriter sim_writer;
-  sim_writer.BeginArray();
-  for (const auto& [key, result] : components) {
-    sim_writer.BeginObject();
-    sim_writer.Field("key", std::string_view(Uint64Hex(key)));
-    sim_writer.KeyedBeginArray("workers");
-    for (const WorkerSimMetrics& metrics : result->workers) {
-      sim_writer.BeginObject();
-      sim_writer.Field("finish_us", std::string_view(DoubleBits(metrics.finish_us)));
-      sim_writer.Field("host_busy_us", std::string_view(DoubleBits(metrics.host_busy_us)));
-      sim_writer.Field("compute_busy_us",
-                       std::string_view(DoubleBits(metrics.compute_busy_us)));
-      sim_writer.Field("comm_busy_us", std::string_view(DoubleBits(metrics.comm_busy_us)));
-      sim_writer.Field("exposed_comm_us",
-                       std::string_view(DoubleBits(metrics.exposed_comm_us)));
-      sim_writer.Field("events", metrics.events);
-      sim_writer.EndObject();
-    }
-    sim_writer.EndArray();
-    sim_writer.EndObject();
-  }
-  sim_writer.EndArray();
-  return WriteFile(PathFor(subdir, kSimCacheFile), sim_writer.str());
-}
-
-Status ArtifactStore::SaveEstimators(const ClusterSpec& cluster, const EstimatorBank& bank) const {
+Status ArtifactStore::InvalidateManifest() const {
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
   if (ec) {
     return Status::Internal("cannot create bundle directory '" + dir_ + "': " + ec.message());
   }
-  // Invalidate any existing bundle before touching its files, and write the
-  // manifest strictly last (see Save).
   std::filesystem::remove(PathFor("", kManifestFile), ec);
-  uint64_t kernel_entries = 0;
-  uint64_t collective_entries = 0;
-  uint64_t sim_entries = 0;
-  MAYA_RETURN_IF_ERROR(SaveDeploymentFiles("", bank, nullptr, &kernel_entries,
-                                           &collective_entries, &sim_entries));
-  JsonWriter manifest;
-  manifest.BeginObject();
-  manifest.Field("version", static_cast<int64_t>(kArtifactBundleVersion));
-  manifest.Key("cluster");
-  WriteJsonFields(manifest, cluster);
-  manifest.Field("kernel_cache_entries", kernel_entries);
-  manifest.Field("collective_cache_entries", collective_entries);
-  manifest.Field("sim_cache_entries", sim_entries);
-  manifest.EndObject();
-  return WriteFile(PathFor("", kManifestFile), manifest.str());
+  return Status::Ok();
+}
+
+Status ArtifactStore::WriteManifest(const ArtifactManifest& manifest) const {
+  return WriteArtifactFile(PathFor("", kManifestFile), WriteJsonFields(manifest));
+}
+
+Status ArtifactStore::SaveDeploymentFiles(const EstimatorBank& bank, const MayaPipeline* pipeline,
+                                          DeploymentManifest& deployment) const {
+  if (bank.kernel == nullptr || bank.collective == nullptr) {
+    return Status::FailedPrecondition("estimator bank is not trained");
+  }
+  const std::string& subdir = deployment.dir;
+  std::error_code ec;
+  std::filesystem::create_directories(std::filesystem::path(dir_) / subdir, ec);
+  if (ec) {
+    return Status::Internal("cannot create bundle directory '" + PathFor(subdir, "") +
+                            "': " + ec.message());
+  }
+  MAYA_RETURN_IF_ERROR(
+      WriteArtifactFile(PathFor(subdir, kKernelEstimatorFile), WriteJsonFields(*bank.kernel)));
+  MAYA_RETURN_IF_ERROR(WriteArtifactFile(PathFor(subdir, kCollectiveEstimatorFile),
+                                         WriteJsonFields(*bank.collective)));
+  MAYA_RETURN_IF_ERROR(WriteArtifactFile(PathFor(subdir, kKernelValidationFile),
+                                         WriteJsonFields(bank.kernel_validation)));
+  // Estimator-only saves write empty caches, which keep the bundle loadable.
+  std::vector<KernelCacheEntry> kernels;
+  std::vector<CollectiveCacheEntry> collectives;
+  std::vector<SimCacheEntry> components;
+  if (pipeline != nullptr) {
+    kernels = pipeline->SnapshotKernelEstimates();
+    collectives = pipeline->SnapshotCollectiveEstimates();
+    components = pipeline->SnapshotSimCache();
+  }
+  deployment.kernel_cache_entries = kernels.size();
+  deployment.collective_cache_entries = collectives.size();
+  deployment.sim_cache_entries = components.size();
+  MAYA_RETURN_IF_ERROR(
+      WriteArtifactFile(PathFor(subdir, kKernelCacheFile), WriteJsonFields(kernels)));
+  MAYA_RETURN_IF_ERROR(
+      WriteArtifactFile(PathFor(subdir, kCollectiveCacheFile), WriteJsonFields(collectives)));
+  return WriteArtifactFile(PathFor(subdir, kSimCacheFile), WriteJsonFields(components));
+}
+
+Status ArtifactStore::SaveSingle(const ClusterSpec& cluster, const EstimatorBank& bank,
+                                 const MayaPipeline* pipeline) const {
+  MAYA_RETURN_IF_ERROR(InvalidateManifest());
+  ArtifactManifest manifest;
+  manifest.version = kArtifactBundleVersion;
+  DeploymentManifest& deployment = manifest.deployments.emplace_back();
+  deployment.cluster = cluster;
+  MAYA_RETURN_IF_ERROR(SaveDeploymentFiles(bank, pipeline, deployment));
+  return WriteManifest(manifest);
+}
+
+Status ArtifactStore::SaveEstimators(const ClusterSpec& cluster, const EstimatorBank& bank) const {
+  return SaveSingle(cluster, bank, nullptr);
 }
 
 Status ArtifactStore::Save(const ClusterSpec& cluster, const EstimatorBank& bank,
                            const MayaPipeline& pipeline) const {
-  std::error_code ec;
-  std::filesystem::create_directories(dir_, ec);
-  if (ec) {
-    return Status::Internal("cannot create bundle directory '" + dir_ + "': " + ec.message());
-  }
-  // Invalidate any existing bundle before touching its files, and write the
-  // manifest strictly last: a crash at any point mid-save leaves a directory
-  // without a manifest, which never loads — not a loadable bundle mixing new
-  // and stale (or torn) files.
-  std::filesystem::remove(PathFor("", kManifestFile), ec);
-  uint64_t kernel_entries = 0;
-  uint64_t collective_entries = 0;
-  uint64_t sim_entries = 0;
-  MAYA_RETURN_IF_ERROR(SaveDeploymentFiles("", bank, &pipeline, &kernel_entries,
-                                           &collective_entries, &sim_entries));
-  JsonWriter manifest;
-  manifest.BeginObject();
-  manifest.Field("version", static_cast<int64_t>(kArtifactBundleVersion));
-  manifest.Key("cluster");
-  WriteJsonFields(manifest, cluster);
-  manifest.Field("kernel_cache_entries", kernel_entries);
-  manifest.Field("collective_cache_entries", collective_entries);
-  manifest.Field("sim_cache_entries", sim_entries);
-  manifest.EndObject();
-  return WriteFile(PathFor("", kManifestFile), manifest.str());
+  return SaveSingle(cluster, bank, &pipeline);
 }
 
 Status ArtifactStore::SaveRegistry(const DeploymentRegistry& registry,
@@ -346,199 +349,51 @@ Status ArtifactStore::SaveRegistry(const DeploymentRegistry& registry,
                                         "' borrows its estimators and cannot be persisted");
     }
   }
-  std::error_code ec;
-  std::filesystem::create_directories(dir_, ec);
-  if (ec) {
-    return Status::Internal("cannot create bundle directory '" + dir_ + "': " + ec.message());
-  }
-  std::filesystem::remove(PathFor("", kManifestFile), ec);
-
-  JsonWriter manifest;
-  manifest.BeginObject();
-  manifest.Field("version", static_cast<int64_t>(kArtifactBundleVersionMulti));
-  manifest.KeyedBeginArray("deployments");
+  MAYA_RETURN_IF_ERROR(InvalidateManifest());
+  ArtifactManifest manifest;
+  manifest.version = kArtifactBundleVersionMulti;
   for (size_t i = 0; i < deployments.size(); ++i) {
     const Deployment& deployment = *deployments[i];
-    const std::string subdir = StrFormat("deployment_%zu", i);
-    uint64_t kernel_entries = 0;
-    uint64_t collective_entries = 0;
-    uint64_t sim_entries = 0;
-    MAYA_RETURN_IF_ERROR(SaveDeploymentFiles(subdir, *deployment.bank,
-                                             deployment.pipeline.get(), &kernel_entries,
-                                             &collective_entries, &sim_entries));
-    manifest.BeginObject();
-    manifest.Field("name", std::string_view(deployment.name));
-    manifest.Field("dir", std::string_view(subdir));
-    manifest.Key("cluster");
-    WriteJsonFields(manifest, deployment.cluster);
-    manifest.Field("kernel_cache_entries", kernel_entries);
-    manifest.Field("collective_cache_entries", collective_entries);
-    manifest.Field("sim_cache_entries", sim_entries);
-    auto used = usage.find(deployment.name);
-    if (used != usage.end() && used->second.timed_requests > 0) {
-      // Bit-exact doubles: a restore round-trips the exact totals.
-      manifest.Field("timed_requests", used->second.timed_requests);
-      manifest.KeyedBeginObject("stage_totals");
-      manifest.Field("emulation_ms",
-                     std::string_view(DoubleBits(used->second.stage_totals.emulation_ms)));
-      manifest.Field("collation_ms",
-                     std::string_view(DoubleBits(used->second.stage_totals.collation_ms)));
-      manifest.Field("estimation_ms",
-                     std::string_view(DoubleBits(used->second.stage_totals.estimation_ms)));
-      manifest.Field("simulation_ms",
-                     std::string_view(DoubleBits(used->second.stage_totals.simulation_ms)));
-      manifest.EndObject();
+    DeploymentManifest& entry = manifest.deployments.emplace_back();
+    entry.name = deployment.name;
+    entry.dir = StrFormat("deployment_%zu", i);
+    entry.cluster = deployment.cluster;
+    if (auto used = usage.find(deployment.name); used != usage.end()) {
+      entry.stage_totals = used->second.stage_totals;
+      entry.timed_requests = used->second.timed_requests;
     }
-    manifest.EndObject();
+    MAYA_RETURN_IF_ERROR(SaveDeploymentFiles(*deployment.bank, deployment.pipeline.get(), entry));
   }
-  manifest.EndArray();
-  manifest.EndObject();
-  return WriteFile(PathFor("", kManifestFile), manifest.str());
+  return WriteManifest(manifest);
 }
 
 Result<ArtifactManifest> ArtifactStore::ReadManifest() const {
-  Result<JsonValue> root = ReadJsonFile(PathFor("", kManifestFile));
-  if (!root.ok()) {
-    return root.status();
-  }
-  if (!root->is_object() || !root->Has("version")) {
-    return Status::InvalidArgument("malformed artifact manifest");
-  }
   ArtifactManifest manifest;
-  // A manifest is disk state, not engine output: a torn or bit-flipped
-  // bundle must load as a clean status (caller falls back to cold start),
-  // never as an abort — hence To* conversions throughout.
-  MAYA_ASSIGN_OR_RETURN(const int64_t version, ToInt(root->at("version")));
-  manifest.version = static_cast<int>(version);
+  MAYA_RETURN_IF_ERROR(ReadFieldsFile(PathFor("", kManifestFile), manifest));
   if (manifest.version == kArtifactBundleVersion) {
-    if (!root->Has("cluster")) {
-      return Status::InvalidArgument("malformed artifact manifest");
-    }
-    DeploymentManifest deployment;
-    deployment.name = kDefaultDeploymentName;
-    Result<ClusterSpec> cluster = ReadJsonFields<ClusterSpec>(root->at("cluster"));
-    if (!cluster.ok()) {
-      return cluster.status();
-    }
-    deployment.cluster = *std::move(cluster);
-    if (root->Has("kernel_cache_entries")) {
-      MAYA_ASSIGN_OR_RETURN(deployment.kernel_cache_entries,
-                            ToUint(root->at("kernel_cache_entries")));
-    }
-    if (root->Has("collective_cache_entries")) {
-      MAYA_ASSIGN_OR_RETURN(deployment.collective_cache_entries,
-                            ToUint(root->at("collective_cache_entries")));
-    }
-    if (root->Has("sim_cache_entries")) {
-      MAYA_ASSIGN_OR_RETURN(deployment.sim_cache_entries,
-                            ToUint(root->at("sim_cache_entries")));
-    }
-    manifest.cluster = deployment.cluster;
-    manifest.kernel_cache_entries = deployment.kernel_cache_entries;
-    manifest.collective_cache_entries = deployment.collective_cache_entries;
-    manifest.deployments.push_back(std::move(deployment));
-    return manifest;
+    manifest.deployments.front().name = kDefaultDeploymentName;
+  } else if (manifest.version != kArtifactBundleVersionMulti) {
+    return Status::FailedPrecondition(
+        StrFormat("artifact bundle version %d is not a supported version (%d or %d)",
+                  manifest.version, kArtifactBundleVersion, kArtifactBundleVersionMulti));
+  } else if (manifest.deployments.empty()) {
+    return Status::InvalidArgument("v2 artifact manifest holds no deployments");
   }
-  if (manifest.version == kArtifactBundleVersionMulti) {
-    if (!root->Has("deployments")) {
-      return Status::InvalidArgument("malformed v2 artifact manifest: no deployments");
-    }
-    MAYA_ASSIGN_OR_RETURN(const JsonArray* entries, ToArray(root->at("deployments")));
-    for (const JsonValue& entry : *entries) {
-      MAYA_RETURN_IF_ERROR(RequireKeys(entry, {"name", "dir", "cluster"}));
-      DeploymentManifest deployment;
-      MAYA_ASSIGN_OR_RETURN(deployment.name, ToString(entry.at("name")));
-      MAYA_ASSIGN_OR_RETURN(deployment.dir, ToString(entry.at("dir")));
-      if (deployment.dir.empty() ||
-          deployment.dir.find_first_of("/\\") != std::string::npos ||
-          deployment.dir.find("..") != std::string::npos) {
-        return Status::InvalidArgument("v2 manifest names unsafe deployment dir '" +
-                                       deployment.dir + "'");
-      }
-      Result<ClusterSpec> cluster = ReadJsonFields<ClusterSpec>(entry.at("cluster"));
-      if (!cluster.ok()) {
-        return cluster.status();
-      }
-      deployment.cluster = *std::move(cluster);
-      if (entry.Has("kernel_cache_entries")) {
-        MAYA_ASSIGN_OR_RETURN(deployment.kernel_cache_entries,
-                              ToUint(entry.at("kernel_cache_entries")));
-      }
-      if (entry.Has("collective_cache_entries")) {
-        MAYA_ASSIGN_OR_RETURN(deployment.collective_cache_entries,
-                              ToUint(entry.at("collective_cache_entries")));
-      }
-      if (entry.Has("sim_cache_entries")) {
-        MAYA_ASSIGN_OR_RETURN(deployment.sim_cache_entries,
-                              ToUint(entry.at("sim_cache_entries")));
-      }
-      if (entry.Has("timed_requests") && entry.Has("stage_totals")) {
-        MAYA_ASSIGN_OR_RETURN(deployment.timed_requests, ToUint(entry.at("timed_requests")));
-        const JsonValue& totals = entry.at("stage_totals");
-        MAYA_RETURN_IF_ERROR(RequireKeys(
-            totals, {"emulation_ms", "collation_ms", "estimation_ms", "simulation_ms"}));
-        auto bits = [&totals](const char* field) -> Result<double> {
-          MAYA_ASSIGN_OR_RETURN(const std::string hex, ToString(totals.at(field)));
-          return DoubleFromBits(hex);
-        };
-        MAYA_ASSIGN_OR_RETURN(deployment.stage_totals.emulation_ms, bits("emulation_ms"));
-        MAYA_ASSIGN_OR_RETURN(deployment.stage_totals.collation_ms, bits("collation_ms"));
-        MAYA_ASSIGN_OR_RETURN(deployment.stage_totals.estimation_ms, bits("estimation_ms"));
-        MAYA_ASSIGN_OR_RETURN(deployment.stage_totals.simulation_ms, bits("simulation_ms"));
-      }
-      manifest.deployments.push_back(std::move(deployment));
-    }
-    if (manifest.deployments.empty()) {
-      return Status::InvalidArgument("v2 artifact manifest holds no deployments");
-    }
-    manifest.cluster = manifest.deployments.front().cluster;
-    manifest.kernel_cache_entries = manifest.deployments.front().kernel_cache_entries;
-    manifest.collective_cache_entries =
-        manifest.deployments.front().collective_cache_entries;
-    return manifest;
-  }
-  return Status::FailedPrecondition(
-      StrFormat("artifact bundle version %d is not a supported version (%d or %d)",
-                manifest.version, kArtifactBundleVersion, kArtifactBundleVersionMulti));
+  manifest.cluster = manifest.deployments.front().cluster;
+  manifest.kernel_cache_entries = manifest.deployments.front().kernel_cache_entries;
+  manifest.collective_cache_entries = manifest.deployments.front().collective_cache_entries;
+  return manifest;
 }
 
 Result<EstimatorBank> ArtifactStore::LoadBankFrom(const std::string& subdir) const {
   EstimatorBank bank;
-  {
-    Result<JsonValue> value = ReadJsonFile(PathFor(subdir, kKernelEstimatorFile));
-    if (!value.ok()) {
-      return value.status();
-    }
-    Result<std::unique_ptr<RandomForestKernelEstimator>> estimator =
-        ParseKernelEstimator(*value);
-    if (!estimator.ok()) {
-      return estimator.status();
-    }
-    bank.kernel = *std::move(estimator);
-  }
-  {
-    Result<JsonValue> value = ReadJsonFile(PathFor(subdir, kCollectiveEstimatorFile));
-    if (!value.ok()) {
-      return value.status();
-    }
-    Result<std::unique_ptr<ProfiledCollectiveEstimator>> estimator =
-        ParseCollectiveEstimator(*value);
-    if (!estimator.ok()) {
-      return estimator.status();
-    }
-    bank.collective = *std::move(estimator);
-  }
-  {
-    Result<JsonValue> value = ReadJsonFile(PathFor(subdir, kKernelValidationFile));
-    if (!value.ok()) {
-      return value.status();
-    }
-    Result<KernelDataset> validation = ParseKernelDataset(*value);
-    if (!validation.ok()) {
-      return validation.status();
-    }
-    bank.kernel_validation = *std::move(validation);
-  }
+  bank.kernel = std::make_unique<RandomForestKernelEstimator>();
+  bank.collective = std::make_unique<ProfiledCollectiveEstimator>();
+  MAYA_RETURN_IF_ERROR(ReadFieldsFile(PathFor(subdir, kKernelEstimatorFile), *bank.kernel));
+  MAYA_RETURN_IF_ERROR(
+      ReadFieldsFile(PathFor(subdir, kCollectiveEstimatorFile), *bank.collective));
+  MAYA_RETURN_IF_ERROR(
+      ReadFieldsFile(PathFor(subdir, kKernelValidationFile), bank.kernel_validation));
   return bank;
 }
 
@@ -598,104 +453,21 @@ Result<uint64_t> ArtifactStore::WarmPipeline(const std::string& name,
   if (target == nullptr) {
     return Status::NotFound("bundle holds no deployment named '" + name + "'");
   }
-  uint64_t imported = 0;
-  {
-    Result<JsonValue> value = ReadJsonFile(PathFor(target->dir, kKernelCacheFile));
-    if (!value.ok()) {
-      return value.status();
-    }
-    // Cache files are disk state like the manifest: torn or damaged bytes
-    // must surface as a status, so To* conversions replace the CHECK-failing
-    // As* accessors throughout the warm path.
-    MAYA_ASSIGN_OR_RETURN(const JsonArray* kernel_items, ToArray(*value));
-    std::vector<std::pair<KernelDesc, double>> entries;
-    for (const JsonValue& entry : *kernel_items) {
-      if (!entry.Has("kernel") || !entry.Has("duration_us")) {
-        return Status::InvalidArgument("malformed kernel cache entry");
-      }
-      Result<KernelDesc> kernel = ParseKernelDescExact(entry.at("kernel"));
-      if (!kernel.ok()) {
-        return kernel.status();
-      }
-      MAYA_ASSIGN_OR_RETURN(const std::string duration_hex, ToString(entry.at("duration_us")));
-      Result<double> duration = DoubleFromBits(duration_hex);
-      if (!duration.ok()) {
-        return duration.status();
-      }
-      entries.emplace_back(*kernel, *duration);
-    }
-    pipeline.ImportKernelEstimates(entries);
-    imported += entries.size();
+  std::vector<KernelCacheEntry> kernels;
+  MAYA_RETURN_IF_ERROR(ReadFieldsFile(PathFor(target->dir, kKernelCacheFile), kernels));
+  pipeline.ImportKernelEstimates(kernels);
+  std::vector<CollectiveCacheEntry> collectives;
+  MAYA_RETURN_IF_ERROR(ReadFieldsFile(PathFor(target->dir, kCollectiveCacheFile), collectives));
+  pipeline.ImportCollectiveEstimates(collectives);
+  // Tolerate a missing file: bundles written before the sim cache existed
+  // still warm-start (estimate caches only).
+  std::vector<SimCacheEntry> components;
+  if (const Status read = ReadFieldsFile(PathFor(target->dir, kSimCacheFile), components);
+      !read.ok() && read.code() != StatusCode::kNotFound) {
+    return read;
   }
-  {
-    Result<JsonValue> value = ReadJsonFile(PathFor(target->dir, kCollectiveCacheFile));
-    if (!value.ok()) {
-      return value.status();
-    }
-    MAYA_ASSIGN_OR_RETURN(const JsonArray* collective_items, ToArray(*value));
-    std::vector<std::pair<CollectiveRequest, double>> entries;
-    for (const JsonValue& entry : *collective_items) {
-      if (!entry.Has("request") || !entry.Has("duration_us")) {
-        return Status::InvalidArgument("malformed collective cache entry");
-      }
-      Result<CollectiveRequest> request = ParseCollectiveRequest(entry.at("request"));
-      if (!request.ok()) {
-        return request.status();
-      }
-      MAYA_ASSIGN_OR_RETURN(const std::string duration_hex, ToString(entry.at("duration_us")));
-      Result<double> duration = DoubleFromBits(duration_hex);
-      if (!duration.ok()) {
-        return duration.status();
-      }
-      entries.emplace_back(*std::move(request), *duration);
-    }
-    pipeline.ImportCollectiveEstimates(entries);
-    imported += entries.size();
-  }
-  {
-    // Tolerate a missing file: bundles written before the sim cache existed
-    // still warm-start (estimate caches only).
-    Result<JsonValue> value = ReadJsonFile(PathFor(target->dir, kSimCacheFile));
-    if (value.ok()) {
-      MAYA_ASSIGN_OR_RETURN(const JsonArray* sim_items, ToArray(*value));
-      std::vector<std::pair<uint64_t, std::shared_ptr<const ComponentSimResult>>> entries;
-      for (const JsonValue& entry : *sim_items) {
-        if (!entry.Has("key") || !entry.Has("workers")) {
-          return Status::InvalidArgument("malformed sim cache entry");
-        }
-        MAYA_ASSIGN_OR_RETURN(const std::string key_hex, ToString(entry.at("key")));
-        Result<uint64_t> key = Uint64FromHex(key_hex);
-        if (!key.ok()) {
-          return key.status();
-        }
-        auto result = std::make_shared<ComponentSimResult>();
-        MAYA_ASSIGN_OR_RETURN(const JsonArray* workers, ToArray(entry.at("workers")));
-        for (const JsonValue& worker : *workers) {
-          MAYA_RETURN_IF_ERROR(RequireKeys(
-              worker, {"finish_us", "host_busy_us", "compute_busy_us", "comm_busy_us",
-                       "exposed_comm_us", "events"}));
-          WorkerSimMetrics metrics;
-          auto bits = [&worker](const char* field) -> Result<double> {
-            MAYA_ASSIGN_OR_RETURN(const std::string hex, ToString(worker.at(field)));
-            return DoubleFromBits(hex);
-          };
-          MAYA_ASSIGN_OR_RETURN(metrics.finish_us, bits("finish_us"));
-          MAYA_ASSIGN_OR_RETURN(metrics.host_busy_us, bits("host_busy_us"));
-          MAYA_ASSIGN_OR_RETURN(metrics.compute_busy_us, bits("compute_busy_us"));
-          MAYA_ASSIGN_OR_RETURN(metrics.comm_busy_us, bits("comm_busy_us"));
-          MAYA_ASSIGN_OR_RETURN(metrics.exposed_comm_us, bits("exposed_comm_us"));
-          MAYA_ASSIGN_OR_RETURN(metrics.events, ToUint(worker.at("events")));
-          result->workers.push_back(metrics);
-        }
-        entries.emplace_back(*key, std::move(result));
-      }
-      pipeline.ImportSimCache(entries);
-      imported += entries.size();
-    } else if (value.status().code() != StatusCode::kNotFound) {
-      return value.status();
-    }
-  }
-  return imported;
+  pipeline.ImportSimCache(components);
+  return kernels.size() + collectives.size() + components.size();
 }
 
 }  // namespace maya

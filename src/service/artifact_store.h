@@ -29,7 +29,9 @@
 #define SRC_SERVICE_ARTIFACT_STORE_H_
 
 #include <map>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/status.h"
@@ -86,6 +88,27 @@ struct DeploymentUsage {
   uint64_t timed_requests = 0;
 };
 
+// One entry of each cache file: the canonical key and its bit-exact value.
+using KernelCacheEntry = std::pair<KernelDesc, double>;
+using CollectiveCacheEntry = std::pair<CollectiveRequest, double>;
+using SimCacheEntry = std::pair<uint64_t, std::shared_ptr<const ComponentSimResult>>;
+
+// The cache files' entry formats, shared with bundle merging. Instantiated
+// for JsonFieldWriter and JsonFieldReader.
+template <class V>
+void Fields(V& v, KernelCacheEntry& entry);
+template <class V>
+void Fields(V& v, CollectiveCacheEntry& entry);
+template <class V>
+void Fields(V& v, SimCacheEntry& entry);
+
+// The store's file I/O, shared with bundle merging. WriteArtifactFile
+// publishes `contents` plus a trailing newline durably (fsync'd tmp, rename,
+// directory fsync) behind the artifact.* fault sites; ReadArtifactFile reads
+// a whole file (NotFound when it cannot be opened).
+Status WriteArtifactFile(const std::string& path, const std::string& contents);
+Result<std::string> ReadArtifactFile(const std::string& path);
+
 class ArtifactStore {
  public:
   explicit ArtifactStore(std::string dir) : dir_(std::move(dir)) {}
@@ -115,6 +138,12 @@ class ArtifactStore {
 
   // Accepts v1 and v2 manifests.
   Result<ArtifactManifest> ReadManifest() const;
+  // The first and last steps of every bundle write. InvalidateManifest
+  // creates the bundle directory and removes any manifest, so a crash from
+  // there until WriteManifest publishes the new one leaves a bundle that
+  // never loads — not one mixing new and stale (or torn) files.
+  Status InvalidateManifest() const;
+  Status WriteManifest(const ArtifactManifest& manifest) const;
 
   // Rebuilds every deployment in the bundle (v1: one, named "default").
   Result<std::vector<LoadedDeployment>> LoadDeployments() const;
@@ -141,11 +170,13 @@ class ArtifactStore {
   static std::string ClusterSignature(const ClusterSpec& cluster);
 
  private:
-  // Writes one deployment's file set into dir_/subdir ("" = bundle root);
-  // null pipeline writes empty cache files.
-  Status SaveDeploymentFiles(const std::string& subdir, const EstimatorBank& bank,
-                             const MayaPipeline* pipeline, uint64_t* kernel_entries,
-                             uint64_t* collective_entries, uint64_t* sim_entries) const;
+  // Save and SaveEstimators: a null pipeline writes empty cache files.
+  Status SaveSingle(const ClusterSpec& cluster, const EstimatorBank& bank,
+                    const MayaPipeline* pipeline) const;
+  // Writes one deployment's file set into dir_/deployment.dir ("" = bundle
+  // root) and records its cache entry counts in `deployment`.
+  Status SaveDeploymentFiles(const EstimatorBank& bank, const MayaPipeline* pipeline,
+                             DeploymentManifest& deployment) const;
   Result<EstimatorBank> LoadBankFrom(const std::string& subdir) const;
   std::string PathFor(const std::string& subdir, const char* file) const;
 

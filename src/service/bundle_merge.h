@@ -10,19 +10,18 @@
 //     (kernel_estimator.json / collective_estimator.json): cached durations
 //     are only valid for the estimators that produced them, so differently
 //     trained banks under one name refuse to merge rather than mix.
-//   - Cache files union at the JSON level with keep-first conflict
-//     resolution. Keys are the canonical serializations the store itself
-//     uses (WriteKernelDescExact / WriteCollectiveRequest / the sim-cache
-//     fingerprint hex), and duration/metric hex-double strings pass through
-//     verbatim — merging never reformats a number, so a bundle merged with
-//     itself is byte-identical to the input and warm-start predictions stay
-//     bit-exact.
+//   - Cache files union entry by entry with keep-first conflict resolution.
+//     Entries are parsed and re-rendered through the store's own cache-entry
+//     codec, keyed by their canonical key serialization; durations and
+//     metrics are bit-exact hex doubles, so a bundle merged with itself is
+//     byte-identical to the input and warm-start predictions stay bit-exact.
 //   - Per-deployment usage metadata (stage_totals, timed_requests) keeps the
 //     first input's values.
 //
-// The output directory is written like the store writes bundles: manifest
-// removed first, data files next, manifest strictly last — a crash mid-merge
-// leaves a directory that never loads, not a half-merged bundle.
+// The output directory is written through the store's durable file writer,
+// like the store writes bundles: manifest removed first, data files next,
+// manifest strictly last — a crash or failed write mid-merge leaves a
+// directory that never loads, not a half-merged bundle.
 #ifndef SRC_SERVICE_BUNDLE_MERGE_H_
 #define SRC_SERVICE_BUNDLE_MERGE_H_
 

@@ -13,8 +13,8 @@
 #include <utility>
 
 #include "src/common/fault_injection.h"
+#include "src/common/json_fields.h"
 #include "src/common/json_parser.h"
-#include "src/common/json_writer.h"
 
 namespace maya {
 namespace {
@@ -61,41 +61,25 @@ bool WriteAll(int fd, const char* data, size_t size) {
   return true;
 }
 
-std::string SerializeRecord(const FleetJournalRecord& record) {
-  JsonWriter w;
-  w.BeginObject();
-  w.Field("seq", record.seq);
-  w.Field("op", std::string_view(record.op == FleetJournalRecord::Op::kAdd ? "add"
-                                                                           : "remove"));
-  w.Field("name", record.name);
-  if (record.op == FleetJournalRecord::Op::kAdd) {
-    w.Field("cluster", record.cluster);
-    w.Field("sweep", record.sweep);
-    w.Field("bundle_dir", record.bundle_dir);
-  }
-  w.EndObject();
-  return w.str();
+const char* JournalOpName(FleetJournalRecord::Op op) {
+  return op == FleetJournalRecord::Op::kAdd ? "add" : "remove";
 }
+constexpr FleetJournalRecord::Op kJournalOps[] = {FleetJournalRecord::Op::kAdd,
+                                                  FleetJournalRecord::Op::kRemove};
 
-Result<FleetJournalRecord> ParseRecord(const std::string& line) {
-  MAYA_ASSIGN_OR_RETURN(JsonValue value, ParseJson(line));
-  MAYA_RETURN_IF_ERROR(RequireKeys(value, {"seq", "op", "name"}));
-  FleetJournalRecord record;
-  MAYA_ASSIGN_OR_RETURN(record.seq, ToUint(value.at("seq")));
-  MAYA_ASSIGN_OR_RETURN(std::string op, ToString(value.at("op")));
-  MAYA_ASSIGN_OR_RETURN(record.name, ToString(value.at("name")));
-  if (op == "add") {
-    record.op = FleetJournalRecord::Op::kAdd;
-    MAYA_RETURN_IF_ERROR(RequireKeys(value, {"cluster", "sweep", "bundle_dir"}));
-    MAYA_ASSIGN_OR_RETURN(record.cluster, ToString(value.at("cluster")));
-    MAYA_ASSIGN_OR_RETURN(record.sweep, ToString(value.at("sweep")));
-    MAYA_ASSIGN_OR_RETURN(record.bundle_dir, ToString(value.at("bundle_dir")));
-  } else if (op == "remove") {
-    record.op = FleetJournalRecord::Op::kRemove;
-  } else {
-    return Status::InvalidArgument("unknown journal op '" + op + "'");
-  }
-  return record;
+// The CHECKPOINT pointer: the live checkpoint bundle and the last journal
+// seq it covers.
+struct CheckpointPointer {
+  std::string dir;
+  uint64_t last_seq = 0;
+  uint64_t index = 0;
+};
+
+template <class V>
+void Fields(V& v, CheckpointPointer& pointer) {
+  v("dir", pointer.dir);
+  v("last_seq", pointer.last_seq);
+  v("index", pointer.index);
 }
 
 // Atomic durable publish of a small file: tmp + fsync + rename + dir fsync.
@@ -129,6 +113,19 @@ Status PublishFile(const std::string& path, const std::string& contents) {
 
 }  // namespace
 
+// An add carries the AddDeploymentPayload it replays; a remove only a name.
+template <class V>
+void Fields(V& v, FleetJournalRecord& record) {
+  v("seq", record.seq);
+  v.Enum("op", record.op, JournalOpName, kJournalOps);
+  v("name", record.name);
+  if (record.op == FleetJournalRecord::Op::kAdd) {
+    v("cluster", record.cluster);
+    v("sweep", record.sweep);
+    v("bundle_dir", record.bundle_dir);
+  }
+}
+
 FleetJournal::FleetJournal(std::string state_dir, FleetJournalOptions options)
     : state_dir_(std::move(state_dir)), options_(options) {}
 
@@ -156,21 +153,16 @@ Status FleetJournal::Open() {
     std::stringstream buffer;
     buffer << pointer.rdbuf();
     Result<JsonValue> parsed = ParseJson(buffer.str());
-    if (parsed.ok() && parsed->Has("dir") && parsed->Has("last_seq") &&
-        parsed->Has("index")) {
-      Result<std::string> dir = ToString(parsed->at("dir"));
-      Result<uint64_t> last_seq = ToUint(parsed->at("last_seq"));
-      Result<uint64_t> index = ToUint(parsed->at("index"));
-      if (dir.ok() && last_seq.ok() && index.ok()) {
-        const std::string full = JoinPath(state_dir_, *dir);
-        // A pointer naming a missing/manifest-less bundle (external damage)
-        // degrades to journal-only recovery rather than failing startup.
-        if (ArtifactStore(full).Exists()) {
-          plan_.has_checkpoint = true;
-          plan_.checkpoint_dir = full;
-          plan_.checkpoint_seq = *last_seq;
-          checkpoint_index_ = *index;
-        }
+    CheckpointPointer checkpoint;
+    if (parsed.ok() && ReadJsonFields(*parsed, checkpoint).ok()) {
+      const std::string full = JoinPath(state_dir_, checkpoint.dir);
+      // A pointer naming a missing/manifest-less bundle (external damage)
+      // degrades to journal-only recovery rather than failing startup.
+      if (ArtifactStore(full).Exists()) {
+        plan_.has_checkpoint = true;
+        plan_.checkpoint_dir = full;
+        plan_.checkpoint_seq = checkpoint.last_seq;
+        checkpoint_index_ = checkpoint.index;
       }
     }
   }
@@ -194,7 +186,9 @@ Status FleetJournal::Open() {
         torn = true;  // partial final record: the crash landed mid-append
         break;
       }
-      Result<FleetJournalRecord> record = ParseRecord(contents.substr(pos, newline - pos));
+      Result<JsonValue> line = ParseJson(contents.substr(pos, newline - pos));
+      Result<FleetJournalRecord> record =
+          line.ok() ? ReadJsonFields<FleetJournalRecord>(*line) : line.status();
       if (!record.ok()) {
         torn = true;  // corrupt line: drop it and everything after
         break;
@@ -234,7 +228,7 @@ Status FleetJournal::Open() {
 }
 
 Status FleetJournal::AppendRecord(const FleetJournalRecord& record) {
-  const std::string line = SerializeRecord(record) + "\n";
+  const std::string line = WriteJsonFields(record) + "\n";
   const auto rollback = [this] {
     // A failed append must leave the journal exactly as it was: truncate any
     // partial bytes back to the pre-append length.
@@ -336,14 +330,8 @@ Status FleetJournal::Checkpoint(const DeploymentRegistry& registry,
       !partial.ok()) {
     return fail(std::move(partial));
   }
-  JsonWriter pointer;
-  pointer.BeginObject();
-  pointer.Field("dir", dir_name);
-  pointer.Field("last_seq", last_seq);
-  pointer.Field("index", index);
-  pointer.EndObject();
-  if (Status published =
-          PublishFile(JoinPath(state_dir_, kCheckpointPointer), pointer.str());
+  if (Status published = PublishFile(JoinPath(state_dir_, kCheckpointPointer),
+                                     WriteJsonFields(CheckpointPointer{dir_name, last_seq, index}));
       !published.ok()) {
     return fail(std::move(published));
   }

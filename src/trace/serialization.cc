@@ -1,112 +1,37 @@
 #include "src/trace/serialization.h"
 
 #include <algorithm>
+#include <array>
 #include <set>
 #include <utility>
 #include <vector>
 
-#include "src/common/json_parser.h"
-#include "src/common/json_writer.h"
+#include "src/common/json_fields.h"
 #include "src/common/strings.h"
 
+// Every trace struct lists its keys once, in its Fields function (see
+// src/common/json_fields.h). Traces arrive over the service wire as
+// untrusted payloads, so the reader's typed, range-checked, non-aborting
+// conversions are the whole parser.
 namespace maya {
 namespace {
 
-void WriteOp(JsonWriter& w, const TraceOp& op) {
-  w.BeginObject();
-  w.Field("type", std::string_view(TraceOpTypeName(op.type)));
-  w.Field("stream", op.stream);
-  w.Field("host_delay_us", op.host_delay_us);
-  if (op.duration_us != 0.0) {
-    w.Field("duration_us", op.duration_us);
-  }
-  switch (op.type) {
-    case TraceOpType::kKernelLaunch: {
-      w.KeyedBeginObject("kernel");
-      w.Field("kind", std::string_view(KernelKindName(op.kernel.kind)));
-      w.Field("op", std::string_view(KernelKindCudaSymbol(op.kernel.kind)));
-      w.Field("dtype", std::string_view(DTypeName(op.kernel.dtype)));
-      w.KeyedBeginArray("params");
-      for (int64_t p : op.kernel.params) {
-        w.Int(p);
-      }
-      w.EndArray();
-      w.Field("flops", op.kernel.flops);
-      w.Field("bytes_read", op.kernel.bytes_read);
-      w.Field("bytes_written", op.kernel.bytes_written);
-      if (op.kernel.fused_op_count != 0) {
-        w.Field("fused_ops", static_cast<int64_t>(op.kernel.fused_op_count));
-      }
-      w.EndObject();
-      break;
-    }
-    case TraceOpType::kCollective: {
-      w.KeyedBeginObject("collective");
-      w.Field("kind", std::string_view(CollectiveKindName(op.collective.kind)));
-      w.Field("bytes", op.collective.bytes);
-      w.Field("comm_uid", op.collective.comm_uid);
-      w.Field("seq", static_cast<uint64_t>(op.collective.seq));
-      w.Field("nranks", static_cast<int64_t>(op.collective.nranks));
-      w.Field("rank_in_comm", static_cast<int64_t>(op.collective.rank_in_comm));
-      w.Field("peer", static_cast<int64_t>(op.collective.peer));
-      w.EndObject();
-      break;
-    }
-    case TraceOpType::kEventRecord:
-    case TraceOpType::kStreamWaitEvent:
-    case TraceOpType::kEventSynchronize: {
-      w.KeyedBeginObject("event");
-      w.Field("id", static_cast<uint64_t>(op.event.event_id));
-      w.Field("version", static_cast<uint64_t>(op.event.version));
-      w.EndObject();
-      break;
-    }
-    case TraceOpType::kMalloc:
-    case TraceOpType::kFree: {
-      w.KeyedBeginObject("memory");
-      w.Field("bytes", op.memory.bytes);
-      w.Field("ptr", op.memory.ptr);
-      w.EndObject();
-      break;
-    }
-    case TraceOpType::kStreamSynchronize:
-    case TraceOpType::kDeviceSynchronize:
-      break;
-  }
-  w.EndObject();
-}
+// [base, count, stride] triples — the wire form of a RankSet, in canonical
+// span order, so equal sets serialize to equal bytes.
+using SpanTriples = std::vector<std::array<int64_t, 3>>;
 
-// Span triples [base, count, stride] — the wire form of a RankSet. Emitted
-// in canonical span order, so equal sets serialize to equal bytes.
-void WriteRankSpans(JsonWriter& w, const RankSet& set) {
-  w.BeginArray();
+SpanTriples ToSpanTriples(const RankSet& set) {
+  SpanTriples triples;
   for (const RankSpan& span : set.spans()) {
-    w.BeginArray();
-    w.Int(span.base);
-    w.Int(span.count);
-    w.Int(span.stride);
-    w.EndArray();
+    triples.push_back({span.base, span.count, span.stride});
   }
-  w.EndArray();
+  return triples;
 }
 
-Result<RankSet> ParseRankSpans(const JsonValue& value) {
-  const JsonArray* spans = nullptr;
-  MAYA_ASSIGN_OR_RETURN(spans, ToArray(value));
+Result<RankSet> FromSpanTriples(SpanTriples triples) {
   RankSet set;
   int64_t last = -1;
-  for (const JsonValue& span_value : *spans) {
-    const JsonArray* triple = nullptr;
-    MAYA_ASSIGN_OR_RETURN(triple, ToArray(span_value));
-    if (triple->size() != 3) {
-      return Status::InvalidArgument("rank span must be a [base, count, stride] triple");
-    }
-    int64_t base = 0;
-    int64_t count = 0;
-    int64_t stride = 0;
-    MAYA_ASSIGN_OR_RETURN(base, ToInt((*triple)[0]));
-    MAYA_ASSIGN_OR_RETURN(count, ToInt((*triple)[1]));
-    MAYA_ASSIGN_OR_RETURN(stride, ToInt((*triple)[2]));
+  for (const auto& [base, count, stride] : triples) {
     if (count <= 0 || stride <= 0 || base < 0) {
       return Status::InvalidArgument(
           StrFormat("invalid rank span [%lld, %lld, %lld]", static_cast<long long>(base),
@@ -123,370 +48,202 @@ Result<RankSet> ParseRankSpans(const JsonValue& value) {
   return set;
 }
 
-void WriteWorker(JsonWriter& w, const WorkerTrace& worker) {
-  w.BeginObject();
-  w.Field("rank", static_cast<int64_t>(worker.rank));
-  w.Field("comm_init_only", worker.comm_init_only);
-  w.Field("duplicate_of", static_cast<int64_t>(worker.duplicate_of));
-  if (!worker.represented_ranks.empty()) {
-    w.Key("represented");
-    WriteRankSpans(w, worker.represented_ranks);
+std::vector<SpanTriples> ToFoldSpans(const std::vector<RankSet>& sets) {
+  std::vector<SpanTriples> spans;
+  for (const RankSet& set : sets) {
+    spans.push_back(ToSpanTriples(set));
   }
-  w.Field("peak_device_bytes", worker.peak_device_bytes);
-  w.Field("final_device_bytes", worker.final_device_bytes);
-  w.KeyedBeginArray("comm_inits");
-  for (const CommInitRecord& init : worker.comm_inits) {
-    w.BeginObject();
-    w.Field("uid", init.comm_uid);
-    w.Field("nranks", static_cast<int64_t>(init.nranks));
-    w.Field("rank_in_comm", static_cast<int64_t>(init.rank_in_comm));
-    w.EndObject();
-  }
-  w.EndArray();
-  w.KeyedBeginArray("events");
-  for (const TraceOp& op : worker.ops) {
-    WriteOp(w, op);
-  }
-  w.EndArray();
-  w.EndObject();
+  return spans;
 }
 
-// Traces arrive over the service wire as untrusted payloads, so every typed
-// access goes through the non-aborting To* accessors.
-Result<TraceOp> ParseOp(const JsonValue& value) {
-  TraceOp op;
-  MAYA_RETURN_IF_ERROR(RequireKeys(value, {"type", "stream", "host_delay_us"}));
-  std::string type_name;
-  MAYA_ASSIGN_OR_RETURN(type_name, ToString(value.at("type")));
-  MAYA_ASSIGN_OR_RETURN(op.type, TraceOpTypeFromName(type_name));
-  MAYA_ASSIGN_OR_RETURN(op.stream, ToUint(value.at("stream")));
-  MAYA_ASSIGN_OR_RETURN(op.host_delay_us, ToNumber(value.at("host_delay_us")));
-  if (value.Has("duration_us")) {
-    MAYA_ASSIGN_OR_RETURN(op.duration_us, ToNumber(value.at("duration_us")));
+Result<std::vector<RankSet>> FromFoldSpans(std::vector<SpanTriples> spans) {
+  std::vector<RankSet> sets;
+  for (SpanTriples& triples : spans) {
+    MAYA_ASSIGN_OR_RETURN(RankSet set, FromSpanTriples(std::move(triples)));
+    sets.push_back(std::move(set));
   }
+  return sets;
+}
+
+// Canonical form: comms sorted by uid, so equal traces serialize to equal
+// bytes regardless of the unordered map's insertion history (the service's
+// strict round-trip contract).
+std::vector<CommGroup> SortedComms(const std::unordered_map<uint64_t, CommGroup>& comms) {
+  std::vector<CommGroup> groups;
+  for (const auto& [uid, group] : comms) {
+    groups.push_back(group);
+  }
+  std::sort(groups.begin(), groups.end(),
+            [](const CommGroup& a, const CommGroup& b) { return a.uid < b.uid; });
+  return groups;
+}
+
+Result<std::unordered_map<uint64_t, CommGroup>> CommsByUid(std::vector<CommGroup> groups) {
+  std::unordered_map<uint64_t, CommGroup> comms;
+  for (CommGroup& group : groups) {
+    if (!comms.emplace(group.uid, std::move(group)).second) {
+      return Status::InvalidArgument("duplicate comm uid in job trace");
+    }
+  }
+  return comms;
+}
+
+// The trace form of a KernelDesc: decimal counts plus the CUDA symbol for
+// human readers (the estimator artifacts carry the bit-exact form).
+constexpr auto kTraceKernelFields = [](auto& v, KernelDesc& kernel) {
+  v.Enum("kind", kernel.kind, KernelKindName, kKernelKinds);
+  v.WriteOnly("op", KernelKindCudaSymbol(kernel.kind));
+  v.Enum("dtype", kernel.dtype, DTypeName, kDTypes);
+  v("params", kernel.params);
+  v("flops", kernel.flops);
+  v("bytes_read", kernel.bytes_read);
+  v("bytes_written", kernel.bytes_written);
+  v("fused_ops", kernel.fused_op_count, Presence::kOmitZero);
+};
+
+}  // namespace
+
+template <class V>
+void Fields(V& v, CollectiveOpInfo& collective) {
+  v.Enum("kind", collective.kind, CollectiveKindName, kCollectiveKinds);
+  v("bytes", collective.bytes);
+  v("comm_uid", collective.comm_uid);
+  v("seq", collective.seq);
+  v("nranks", collective.nranks);
+  v("rank_in_comm", collective.rank_in_comm);
+  v("peer", collective.peer);
+}
+
+template <class V>
+void Fields(V& v, EventOpInfo& event) {
+  v("id", event.event_id);
+  v("version", event.version);
+}
+
+template <class V>
+void Fields(V& v, MemoryOpInfo& memory) {
+  v("bytes", memory.bytes);
+  v("ptr", memory.ptr);
+}
+
+// An op carries the payload its type names, and only that one.
+template <class V>
+void Fields(V& v, TraceOp& op) {
+  v.Enum("type", op.type, TraceOpTypeName, kTraceOpTypes);
+  v("stream", op.stream);
+  v("host_delay_us", op.host_delay_us);
+  v("duration_us", op.duration_us, Presence::kOmitZero);
   switch (op.type) {
-    case TraceOpType::kKernelLaunch: {
-      MAYA_RETURN_IF_ERROR(RequireKeys(value, {"kernel"}));
-      const JsonValue& k = value.at("kernel");
-      MAYA_RETURN_IF_ERROR(RequireKeys(
-          k, {"kind", "dtype", "params", "flops", "bytes_read", "bytes_written"}));
-      std::string kind_name;
-      MAYA_ASSIGN_OR_RETURN(kind_name, ToString(k.at("kind")));
-      MAYA_ASSIGN_OR_RETURN(op.kernel.kind, KernelKindFromName(kind_name));
-      std::string dtype_name;
-      MAYA_ASSIGN_OR_RETURN(dtype_name, ToString(k.at("dtype")));
-      MAYA_ASSIGN_OR_RETURN(op.kernel.dtype, DTypeFromName(dtype_name));
-      const JsonArray* params = nullptr;
-      MAYA_ASSIGN_OR_RETURN(params, ToArray(k.at("params")));
-      if (params->size() != op.kernel.params.size()) {
-        return Status::InvalidArgument("kernel params must have 8 entries");
-      }
-      for (size_t i = 0; i < params->size(); ++i) {
-        MAYA_ASSIGN_OR_RETURN(op.kernel.params[i], ToInt((*params)[i]));
-      }
-      MAYA_ASSIGN_OR_RETURN(op.kernel.flops, ToNumber(k.at("flops")));
-      MAYA_ASSIGN_OR_RETURN(op.kernel.bytes_read, ToNumber(k.at("bytes_read")));
-      MAYA_ASSIGN_OR_RETURN(op.kernel.bytes_written, ToNumber(k.at("bytes_written")));
-      if (k.Has("fused_ops")) {
-        int64_t fused = 0;
-        MAYA_ASSIGN_OR_RETURN(fused, ToInt(k.at("fused_ops")));
-        op.kernel.fused_op_count = static_cast<int>(fused);
-      }
+    case TraceOpType::kKernelLaunch:
+      v.Object("kernel", op.kernel, kTraceKernelFields);
       break;
-    }
-    case TraceOpType::kCollective: {
-      MAYA_RETURN_IF_ERROR(RequireKeys(value, {"collective"}));
-      const JsonValue& c = value.at("collective");
-      MAYA_RETURN_IF_ERROR(RequireKeys(
-          c, {"kind", "bytes", "comm_uid", "seq", "nranks", "rank_in_comm", "peer"}));
-      std::string kind_name;
-      MAYA_ASSIGN_OR_RETURN(kind_name, ToString(c.at("kind")));
-      MAYA_ASSIGN_OR_RETURN(op.collective.kind, CollectiveKindFromName(kind_name));
-      MAYA_ASSIGN_OR_RETURN(op.collective.bytes, ToUint(c.at("bytes")));
-      MAYA_ASSIGN_OR_RETURN(op.collective.comm_uid, ToUint(c.at("comm_uid")));
-      uint64_t seq = 0;
-      MAYA_ASSIGN_OR_RETURN(seq, ToUint(c.at("seq")));
-      op.collective.seq = static_cast<uint32_t>(seq);
-      int64_t field = 0;
-      MAYA_ASSIGN_OR_RETURN(field, ToInt(c.at("nranks")));
-      op.collective.nranks = static_cast<int32_t>(field);
-      MAYA_ASSIGN_OR_RETURN(field, ToInt(c.at("rank_in_comm")));
-      op.collective.rank_in_comm = static_cast<int32_t>(field);
-      MAYA_ASSIGN_OR_RETURN(field, ToInt(c.at("peer")));
-      op.collective.peer = static_cast<int32_t>(field);
+    case TraceOpType::kCollective:
+      v("collective", op.collective);
       break;
-    }
     case TraceOpType::kEventRecord:
     case TraceOpType::kStreamWaitEvent:
-    case TraceOpType::kEventSynchronize: {
-      MAYA_RETURN_IF_ERROR(RequireKeys(value, {"event"}));
-      const JsonValue& e = value.at("event");
-      MAYA_RETURN_IF_ERROR(RequireKeys(e, {"id", "version"}));
-      uint64_t field = 0;
-      MAYA_ASSIGN_OR_RETURN(field, ToUint(e.at("id")));
-      op.event.event_id = static_cast<uint32_t>(field);
-      MAYA_ASSIGN_OR_RETURN(field, ToUint(e.at("version")));
-      op.event.version = static_cast<uint32_t>(field);
+    case TraceOpType::kEventSynchronize:
+      v("event", op.event);
       break;
-    }
     case TraceOpType::kMalloc:
-    case TraceOpType::kFree: {
-      MAYA_RETURN_IF_ERROR(RequireKeys(value, {"memory"}));
-      const JsonValue& m = value.at("memory");
-      MAYA_RETURN_IF_ERROR(RequireKeys(m, {"bytes", "ptr"}));
-      MAYA_ASSIGN_OR_RETURN(op.memory.bytes, ToUint(m.at("bytes")));
-      MAYA_ASSIGN_OR_RETURN(op.memory.ptr, ToUint(m.at("ptr")));
+    case TraceOpType::kFree:
+      v("memory", op.memory);
       break;
-    }
     case TraceOpType::kStreamSynchronize:
     case TraceOpType::kDeviceSynchronize:
       break;
   }
-  return op;
 }
 
-Result<WorkerTrace> ParseWorkerValue(const JsonValue& v) {
-  WorkerTrace worker;
-  MAYA_RETURN_IF_ERROR(RequireKeys(v, {"rank", "comm_init_only", "duplicate_of",
-                                       "peak_device_bytes", "final_device_bytes", "comm_inits",
-                                       "events"}));
-  int64_t field = 0;
-  MAYA_ASSIGN_OR_RETURN(field, ToInt(v.at("rank")));
-  worker.rank = static_cast<int>(field);
-  MAYA_ASSIGN_OR_RETURN(worker.comm_init_only, ToBool(v.at("comm_init_only")));
-  MAYA_ASSIGN_OR_RETURN(field, ToInt(v.at("duplicate_of")));
-  worker.duplicate_of = static_cast<int>(field);
-  MAYA_ASSIGN_OR_RETURN(worker.peak_device_bytes, ToUint(v.at("peak_device_bytes")));
-  MAYA_ASSIGN_OR_RETURN(worker.final_device_bytes, ToUint(v.at("final_device_bytes")));
-  if (v.Has("represented")) {
-    MAYA_ASSIGN_OR_RETURN(worker.represented_ranks, ParseRankSpans(v.at("represented")));
-    if (!worker.represented_ranks.contains(worker.rank)) {
+template <class V>
+void Fields(V& v, CommInitRecord& init) {
+  v("uid", init.comm_uid);
+  v("nranks", init.nranks);
+  v("rank_in_comm", init.rank_in_comm);
+}
+
+template <class V>
+void Fields(V& v, WorkerTrace& worker) {
+  v("rank", worker.rank);
+  v("comm_init_only", worker.comm_init_only);
+  v("duplicate_of", worker.duplicate_of);
+  v.Via("represented", worker.represented_ranks, ToSpanTriples, FromSpanTriples,
+        Presence::kOmitEmpty);
+  v.Validate([&worker] {
+    if (!worker.represented_ranks.empty() && !worker.represented_ranks.contains(worker.rank)) {
       return Status::InvalidArgument(StrFormat(
           "worker rank %d is not a member of its own represented set", worker.rank));
     }
-  }
-  const JsonArray* comm_inits = nullptr;
-  MAYA_ASSIGN_OR_RETURN(comm_inits, ToArray(v.at("comm_inits")));
-  for (const JsonValue& init_value : *comm_inits) {
-    MAYA_RETURN_IF_ERROR(RequireKeys(init_value, {"uid", "nranks", "rank_in_comm"}));
-    CommInitRecord init;
-    MAYA_ASSIGN_OR_RETURN(init.comm_uid, ToUint(init_value.at("uid")));
-    MAYA_ASSIGN_OR_RETURN(field, ToInt(init_value.at("nranks")));
-    init.nranks = static_cast<int32_t>(field);
-    MAYA_ASSIGN_OR_RETURN(field, ToInt(init_value.at("rank_in_comm")));
-    init.rank_in_comm = static_cast<int32_t>(field);
-    worker.comm_inits.push_back(init);
-  }
-  const JsonArray* events = nullptr;
-  MAYA_ASSIGN_OR_RETURN(events, ToArray(v.at("events")));
-  for (const JsonValue& op_value : *events) {
-    Result<TraceOp> op = ParseOp(op_value);
-    if (!op.ok()) {
-      return op.status();
-    }
-    worker.ops.push_back(*op);
-  }
-  return worker;
+    return Status::Ok();
+  });
+  v("peak_device_bytes", worker.peak_device_bytes);
+  v("final_device_bytes", worker.final_device_bytes);
+  v("comm_inits", worker.comm_inits);
+  v("events", worker.ops);
 }
 
-}  // namespace
-
-Result<TraceOpType> TraceOpTypeFromName(const std::string& name) {
-  static constexpr TraceOpType kAll[] = {
-      TraceOpType::kKernelLaunch,     TraceOpType::kCollective,
-      TraceOpType::kEventRecord,      TraceOpType::kStreamWaitEvent,
-      TraceOpType::kEventSynchronize, TraceOpType::kStreamSynchronize,
-      TraceOpType::kDeviceSynchronize, TraceOpType::kMalloc,
-      TraceOpType::kFree,
-  };
-  for (TraceOpType type : kAll) {
-    if (name == TraceOpTypeName(type)) {
-      return type;
-    }
-  }
-  return Status::InvalidArgument("unknown op type '" + name + "'");
-}
-
-Result<KernelKind> KernelKindFromName(const std::string& name) {
-  for (int i = 0; i < static_cast<int>(KernelKind::kNumKinds); ++i) {
-    const auto kind = static_cast<KernelKind>(i);
-    if (name == KernelKindName(kind)) {
-      return kind;
-    }
-  }
-  return Status::InvalidArgument("unknown kernel kind '" + name + "'");
-}
-
-Result<DType> DTypeFromName(const std::string& name) {
-  static constexpr DType kAll[] = {DType::kFp32, DType::kFp16, DType::kBf16, DType::kFp64,
-                                   DType::kInt64, DType::kInt32, DType::kInt8, DType::kUint8};
-  for (DType dtype : kAll) {
-    if (name == DTypeName(dtype)) {
-      return dtype;
-    }
-  }
-  return Status::InvalidArgument("unknown dtype '" + name + "'");
-}
-
-Result<CollectiveKind> CollectiveKindFromName(const std::string& name) {
-  static constexpr CollectiveKind kAll[] = {
-      CollectiveKind::kAllReduce, CollectiveKind::kAllGather, CollectiveKind::kReduceScatter,
-      CollectiveKind::kBroadcast, CollectiveKind::kReduce,    CollectiveKind::kAllToAll,
-      CollectiveKind::kSend,      CollectiveKind::kRecv,
-  };
-  for (CollectiveKind kind : kAll) {
-    if (name == CollectiveKindName(kind)) {
-      return kind;
-    }
-  }
-  return Status::InvalidArgument("unknown collective kind '" + name + "'");
-}
-
-std::string SerializeWorkerTrace(const WorkerTrace& worker) {
-  JsonWriter w;
-  WriteWorker(w, worker);
-  return w.str();
-}
-
-std::string SerializeJobTrace(const JobTrace& job) {
-  JsonWriter w;
-  w.BeginObject();
-  w.Field("world_size", static_cast<int64_t>(job.world_size));
-  // Canonical form: comms sorted by uid, so equal traces serialize to equal
-  // bytes regardless of the unordered map's insertion history (the service's
-  // strict round-trip contract).
-  std::vector<uint64_t> uids;
-  uids.reserve(job.comms.size());
-  for (const auto& [uid, group] : job.comms) {
-    (void)group;
-    uids.push_back(uid);
-  }
-  std::sort(uids.begin(), uids.end());
-  w.KeyedBeginArray("comms");
-  for (uint64_t uid : uids) {
-    const CommGroup& group = job.comms.at(uid);
-    w.BeginObject();
-    w.Field("uid", uid);
-    w.Field("nranks", static_cast<int64_t>(group.nranks));
-    w.KeyedBeginArray("members");
-    for (int member : group.members) {
-      w.Int(member);
-    }
-    w.EndArray();
-    w.EndObject();
-  }
-  w.EndArray();
-  // Compressed fold sets: [base, count, stride] span triples, so a worker
-  // standing for an entire data-parallel slice serializes in O(1) rather
-  // than one integer per folded rank.
-  w.KeyedBeginArray("folded_spans");
-  for (const RankSet& ranks : job.folded_ranks) {
-    WriteRankSpans(w, ranks);
-  }
-  w.EndArray();
-  w.KeyedBeginArray("workers");
-  for (const WorkerTrace& worker : job.workers) {
-    WriteWorker(w, worker);
-  }
-  w.EndArray();
-  w.EndObject();
-  return w.str();
-}
-
-Result<WorkerTrace> ParseWorkerTrace(const std::string& json) {
-  Result<JsonValue> root = ParseJson(json);
-  if (!root.ok()) {
-    return root.status();
-  }
-  return ParseWorkerValue(*root);
-}
-
-Result<JobTrace> ParseJobTrace(const JsonValue& value) {
-  MAYA_RETURN_IF_ERROR(RequireKeys(value, {"world_size", "comms", "workers"}));
-  if (!value.Has("folded_spans") && !value.Has("folded_ranks")) {
-    return Status::InvalidArgument("job trace lacks folded_spans (or legacy folded_ranks)");
-  }
-  JobTrace job;
-  int64_t field = 0;
-  MAYA_ASSIGN_OR_RETURN(field, ToInt(value.at("world_size")));
-  job.world_size = static_cast<int>(field);
-  // The fold validation below walks a per-rank claim table; bound the
-  // allocation an adversarial world_size could force.
-  constexpr int64_t kMaxWorldSize = int64_t{1} << 22;  // 4M ranks
-  if (field < 0 || field > kMaxWorldSize) {
-    return Status::InvalidArgument(
-        StrFormat("world_size %lld outside [0, %lld]", static_cast<long long>(field),
-                  static_cast<long long>(kMaxWorldSize)));
-  }
-  const JsonArray* comms = nullptr;
-  MAYA_ASSIGN_OR_RETURN(comms, ToArray(value.at("comms")));
-  for (const JsonValue& comm_value : *comms) {
-    MAYA_RETURN_IF_ERROR(RequireKeys(comm_value, {"uid", "nranks", "members"}));
-    CommGroup group;
-    MAYA_ASSIGN_OR_RETURN(group.uid, ToUint(comm_value.at("uid")));
-    MAYA_ASSIGN_OR_RETURN(field, ToInt(comm_value.at("nranks")));
-    group.nranks = static_cast<int32_t>(field);
-    const JsonArray* members = nullptr;
-    MAYA_ASSIGN_OR_RETURN(members, ToArray(comm_value.at("members")));
-    for (const JsonValue& member : *members) {
-      MAYA_ASSIGN_OR_RETURN(field, ToInt(member));
-      group.members.push_back(static_cast<int>(field));
-    }
+template <class V>
+void Fields(V& v, CommGroup& group) {
+  v("uid", group.uid);
+  v("nranks", group.nranks);
+  v("members", group.members);
+  v.Validate([&group] {
     if (group.nranks != static_cast<int32_t>(group.members.size())) {
       return Status::InvalidArgument(
           StrFormat("comm %llu declares %d ranks but lists %zu members",
                     static_cast<unsigned long long>(group.uid), group.nranks,
                     group.members.size()));
     }
-    if (!job.comms.emplace(group.uid, std::move(group)).second) {
-      return Status::InvalidArgument("duplicate comm uid in job trace");
-    }
-  }
-  if (value.Has("folded_spans")) {
-    const JsonArray* folded = nullptr;
-    MAYA_ASSIGN_OR_RETURN(folded, ToArray(value.at("folded_spans")));
-    for (const JsonValue& spans_value : *folded) {
-      RankSet ranks;
-      MAYA_ASSIGN_OR_RETURN(ranks, ParseRankSpans(spans_value));
-      job.folded_ranks.push_back(std::move(ranks));
-    }
-  } else {
-    // Legacy explicit form: one integer per folded rank. Accepted (and
-    // normalized into span sets) so pre-hyperscale bundles keep loading.
-    const JsonArray* folded = nullptr;
-    MAYA_ASSIGN_OR_RETURN(folded, ToArray(value.at("folded_ranks")));
-    for (const JsonValue& ranks_value : *folded) {
-      const JsonArray* rank_array = nullptr;
-      MAYA_ASSIGN_OR_RETURN(rank_array, ToArray(ranks_value));
-      std::vector<int> ranks;
-      for (const JsonValue& rank : *rank_array) {
-        MAYA_ASSIGN_OR_RETURN(field, ToInt(rank));
-        ranks.push_back(static_cast<int>(field));
-      }
-      std::sort(ranks.begin(), ranks.end());
-      if (std::adjacent_find(ranks.begin(), ranks.end()) != ranks.end()) {
-        return Status::InvalidArgument("duplicate rank within a folded_ranks entry");
-      }
-      RankSet set;
-      for (int rank : ranks) {
-        set.Add(rank);
-      }
-      job.folded_ranks.push_back(std::move(set));
-    }
-  }
-  const JsonArray* workers = nullptr;
-  MAYA_ASSIGN_OR_RETURN(workers, ToArray(value.at("workers")));
-  for (const JsonValue& worker_value : *workers) {
-    Result<WorkerTrace> worker = ParseWorkerValue(worker_value);
-    if (!worker.ok()) {
-      return worker.status();
-    }
-    job.workers.push_back(*std::move(worker));
-  }
+    return Status::Ok();
+  });
+}
 
-  // Boundary validation: the simulator CHECK-fails (process abort) or
-  // silently desynchronizes on inconsistent traces, so a multi-tenant server
-  // must reject them here.
+// Fold sets travel as compressed [base, count, stride] span triples, so a
+// worker standing for an entire data-parallel slice serializes in O(1)
+// rather than one integer per folded rank. Optional only for the legacy
+// per-rank form ParseJobTrace accepts in its place.
+template <class V>
+void Fields(V& v, JobTrace& job) {
+  v("world_size", job.world_size);
+  v.Via("comms", job.comms, SortedComms, CommsByUid);
+  v.Via("folded_spans", job.folded_ranks, ToFoldSpans, FromFoldSpans, Presence::kOptional);
+  v("workers", job.workers);
+}
+
+namespace {
+
+// Legacy explicit fold sets, one integer per folded rank: accepted (and
+// normalized into span sets) so pre-hyperscale bundles keep loading.
+Status ReadLegacyFoldedRanks(const JsonValue& value, JobTrace& job) {
+  std::vector<std::vector<int>> folded;
+  JsonFieldReader reader(value);
+  reader("folded_ranks", folded);
+  MAYA_RETURN_IF_ERROR(reader.status());
+  for (std::vector<int>& ranks : folded) {
+    std::sort(ranks.begin(), ranks.end());
+    if (std::adjacent_find(ranks.begin(), ranks.end()) != ranks.end()) {
+      return Status::InvalidArgument("duplicate rank within a folded_ranks entry");
+    }
+    RankSet set;
+    for (int rank : ranks) {
+      set.Add(rank);
+    }
+    job.folded_ranks.push_back(std::move(set));
+  }
+  return Status::Ok();
+}
+
+// Boundary validation: the simulator CHECK-fails (process abort) or silently
+// desynchronizes on inconsistent traces, so a multi-tenant server must
+// reject them here.
+Status ValidateJobTrace(const JobTrace& job) {
+  // The fold validation below walks a per-rank claim table; bound the
+  // allocation an adversarial world_size could force.
+  constexpr int64_t kMaxWorldSize = int64_t{1} << 22;  // 4M ranks
+  if (job.world_size < 0 || job.world_size > kMaxWorldSize) {
+    return Status::InvalidArgument(StrFormat("world_size %d outside [0, %lld]", job.world_size,
+                                             static_cast<long long>(kMaxWorldSize)));
+  }
   if (job.folded_ranks.size() != job.workers.size()) {
     return Status::InvalidArgument(
         StrFormat("folded rank sets (%zu) do not match workers (%zu)",
@@ -569,15 +326,35 @@ Result<JobTrace> ParseJobTrace(const JsonValue& value) {
       }
     }
   }
+  return Status::Ok();
+}
+
+}  // namespace
+
+std::string SerializeWorkerTrace(const WorkerTrace& worker) { return WriteJsonFields(worker); }
+
+std::string SerializeJobTrace(const JobTrace& job) { return WriteJsonFields(job); }
+
+Result<WorkerTrace> ParseWorkerTrace(const std::string& json) {
+  MAYA_ASSIGN_OR_RETURN(const JsonValue root, ParseJson(json));
+  return ReadJsonFields<WorkerTrace>(root);
+}
+
+Result<JobTrace> ParseJobTrace(const JsonValue& value) {
+  MAYA_ASSIGN_OR_RETURN(JobTrace job, ReadJsonFields<JobTrace>(value));
+  if (value.Find("folded_spans") == nullptr) {
+    if (value.Find("folded_ranks") == nullptr) {
+      return Status::InvalidArgument("job trace lacks folded_spans (or legacy folded_ranks)");
+    }
+    MAYA_RETURN_IF_ERROR(ReadLegacyFoldedRanks(value, job));
+  }
+  MAYA_RETURN_IF_ERROR(ValidateJobTrace(job));
   return job;
 }
 
 Result<JobTrace> ParseJobTrace(const std::string& json) {
-  Result<JsonValue> root = ParseJson(json);
-  if (!root.ok()) {
-    return root.status();
-  }
-  return ParseJobTrace(*root);
+  MAYA_ASSIGN_OR_RETURN(const JsonValue root, ParseJson(json));
+  return ParseJobTrace(root);
 }
 
 }  // namespace maya

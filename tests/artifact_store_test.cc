@@ -51,11 +51,9 @@ TEST(DoubleBitsTest, RejectsMalformedPatterns) {
 
 TEST(KernelDescExactTest, RoundTripPreservesIdentity) {
   const KernelDesc kernel = MakeGemm(4096, 1024, 333, DType::kBf16, 7);
-  JsonWriter w;
-  WriteKernelDescExact(w, kernel);
-  Result<JsonValue> value = ParseJson(w.str());
+  Result<JsonValue> value = ParseJson(WriteJsonFields(kernel));
   ASSERT_TRUE(value.ok()) << value.status().ToString();
-  Result<KernelDesc> parsed = ParseKernelDescExact(*value);
+  Result<KernelDesc> parsed = ReadJsonFields<KernelDesc>(*value);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   // Full equality, including the derived flop/byte doubles: the desc is an
   // estimate-cache key, so any lost bit would demote hits to misses.
@@ -76,11 +74,9 @@ TEST(ForestSerializationTest, RoundTripPredictsBitIdentically) {
   RandomForestRegressor forest(options);
   forest.Fit(data);
 
-  JsonWriter w;
-  WriteRandomForest(w, forest);
-  Result<JsonValue> value = ParseJson(w.str());
+  Result<JsonValue> value = ParseJson(WriteJsonFields(forest));
   ASSERT_TRUE(value.ok());
-  Result<RandomForestRegressor> restored = ParseRandomForest(*value);
+  Result<RandomForestRegressor> restored = ReadJsonFields<RandomForestRegressor>(*value);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   ASSERT_TRUE(restored->trained());
   for (int i = 0; i < 50; ++i) {
@@ -92,13 +88,13 @@ TEST(ForestSerializationTest, RoundTripPredictsBitIdentically) {
 }
 
 TEST(ForestSerializationTest, RejectsCorruptTrees) {
-  EXPECT_FALSE(ParseRandomForest(JsonValue()).ok());
+  EXPECT_FALSE(ReadJsonFields<RandomForestRegressor>(JsonValue()).ok());
   Result<JsonValue> missing_trees = ParseJson(
       R"({"options":{"num_trees":1,"max_depth":1,"min_samples_leaf":1,)"
       R"("feature_fraction":"3fe8000000000000","sample_fraction":"3feb333333333333",)"
       R"("seed":17},"trees":[]})");
   ASSERT_TRUE(missing_trees.ok());
-  EXPECT_FALSE(ParseRandomForest(*missing_trees).ok());
+  EXPECT_FALSE(ReadJsonFields<RandomForestRegressor>(*missing_trees).ok());
   // A branch node pointing outside the node array must be rejected.
   Result<JsonValue> bad_child = ParseJson(
       R"({"options":{"num_trees":1,"max_depth":1,"min_samples_leaf":1,)"
@@ -106,18 +102,16 @@ TEST(ForestSerializationTest, RejectsCorruptTrees) {
       R"("seed":17},"trees":[{"feature":[0],"threshold":["3ff0000000000000"],)"
       R"("left":[5],"right":[1],"value":["3ff0000000000000"]}]})");
   ASSERT_TRUE(bad_child.ok());
-  EXPECT_FALSE(ParseRandomForest(*bad_child).ok());
+  EXPECT_FALSE(ReadJsonFields<RandomForestRegressor>(*bad_child).ok());
 }
 
 TEST(DatasetSerializationTest, RoundTripsExactly) {
   Dataset data;
   data.Add({1.0, 0.25, 1e-9}, 42.0);
   data.Add({2.0, 0.1, 3.0}, -7.5);
-  JsonWriter w;
-  WriteDataset(w, data);
-  Result<JsonValue> value = ParseJson(w.str());
+  Result<JsonValue> value = ParseJson(WriteJsonFields(data));
   ASSERT_TRUE(value.ok());
-  Result<Dataset> restored = ParseDataset(*value);
+  Result<Dataset> restored = ReadJsonFields<Dataset>(*value);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   ASSERT_EQ(restored->size(), data.size());
   EXPECT_EQ(restored->x, data.x);
@@ -164,22 +158,19 @@ GroundTruthExecutor* ArtifactStoreTest::executor_ = nullptr;
 EstimatorBank* ArtifactStoreTest::bank_ = nullptr;
 
 TEST_F(ArtifactStoreTest, KernelEstimatorRoundTripBitIdentical) {
-  JsonWriter w;
-  WriteKernelEstimator(w, *bank_->kernel);
-  Result<JsonValue> value = ParseJson(w.str());
+  Result<JsonValue> value = ParseJson(WriteJsonFields(*bank_->kernel));
   ASSERT_TRUE(value.ok());
-  Result<std::unique_ptr<RandomForestKernelEstimator>> restored = ParseKernelEstimator(*value);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  auto restored = std::make_unique<RandomForestKernelEstimator>();
+  const Status read = ReadJsonFields(*value, *restored);
+  ASSERT_TRUE(read.ok()) << read.ToString();
   for (const KernelDesc& kernel : ProbeKernels()) {
-    EXPECT_EQ(bank_->kernel->PredictUs(kernel), (*restored)->PredictUs(kernel))
+    EXPECT_EQ(bank_->kernel->PredictUs(kernel), restored->PredictUs(kernel))
         << kernel.ToString();
   }
   // The validation split round-trips through the bundle too.
-  JsonWriter dataset_writer;
-  WriteKernelDataset(dataset_writer, bank_->kernel_validation);
-  Result<JsonValue> dataset_value = ParseJson(dataset_writer.str());
+  Result<JsonValue> dataset_value = ParseJson(WriteJsonFields(bank_->kernel_validation));
   ASSERT_TRUE(dataset_value.ok());
-  Result<KernelDataset> dataset = ParseKernelDataset(*dataset_value);
+  Result<KernelDataset> dataset = ReadJsonFields<KernelDataset>(*dataset_value);
   ASSERT_TRUE(dataset.ok());
   ASSERT_EQ(dataset->size(), bank_->kernel_validation.size());
   for (size_t i = 0; i < dataset->size(); ++i) {
@@ -189,14 +180,12 @@ TEST_F(ArtifactStoreTest, KernelEstimatorRoundTripBitIdentical) {
 }
 
 TEST_F(ArtifactStoreTest, CollectiveEstimatorRoundTripBitIdentical) {
-  JsonWriter w;
-  WriteCollectiveEstimator(w, *bank_->collective);
-  Result<JsonValue> value = ParseJson(w.str());
+  Result<JsonValue> value = ParseJson(WriteJsonFields(*bank_->collective));
   ASSERT_TRUE(value.ok());
-  Result<std::unique_ptr<ProfiledCollectiveEstimator>> restored =
-      ParseCollectiveEstimator(*value);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ((*restored)->group_count(), bank_->collective->group_count());
+  auto restored = std::make_unique<ProfiledCollectiveEstimator>();
+  const Status read = ReadJsonFields(*value, *restored);
+  ASSERT_TRUE(read.ok()) << read.ToString();
+  EXPECT_EQ(restored->group_count(), bank_->collective->group_count());
   for (uint64_t bytes : {1u << 12, 1u << 20, 1u << 26}) {
     for (int nranks : {2, 4, 8}) {
       CollectiveRequest request;
@@ -206,7 +195,7 @@ TEST_F(ArtifactStoreTest, CollectiveEstimatorRoundTripBitIdentical) {
         request.ranks.push_back(rank);
       }
       EXPECT_EQ(bank_->collective->PredictUs(request, *cluster_),
-                (*restored)->PredictUs(request, *cluster_));
+                restored->PredictUs(request, *cluster_));
     }
   }
 }

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/fault_injection.h"
 #include "src/core/estimator_bank.h"
 #include "src/groundtruth/executor.h"
 #include "src/service/artifact_store.h"
@@ -211,6 +212,25 @@ TEST_F(BundleMergeTest, RefusesDifferentlyTrainedEstimatorsUnderOneName) {
       << report.status().ToString();
   // Failed merges never leave a loadable half-bundle behind.
   EXPECT_FALSE(ArtifactStore(out).Exists());
+}
+
+TEST_F(BundleMergeTest, FailedWriteLeavesNoLoadableBundle) {
+  const std::string dir = TempDir("merge_fault_in");
+  MayaPipeline pipeline(*cluster_, bank_->kernel.get(), bank_->collective.get());
+  Warm(pipeline, Config(2, 2));
+  ASSERT_TRUE(ArtifactStore(dir).Save(*cluster_, *bank_, pipeline).ok());
+
+  // Merged files go through the store's durable writer and its fault sites:
+  // a disk-full short write fails the merge, and since the manifest is
+  // written last, nothing loadable is published.
+  FaultInjection& faults = FaultInjection::Instance();
+  ASSERT_TRUE(faults.Configure("artifact.write_short=1@1", 3).ok());
+  const std::string out = TempDir("merge_fault_out");
+  Result<BundleMergeReport> report = MergeBundles({dir, dir}, out);
+  faults.Disarm();
+  EXPECT_FALSE(report.ok());
+  EXPECT_FALSE(ArtifactStore(out).Exists());
+  EXPECT_FALSE(ArtifactStore(out).LoadDeployments().ok());
 }
 
 TEST_F(BundleMergeTest, ValidatesInputs) {

@@ -3,7 +3,10 @@
 # unit of the serving stack. Every status a deserialized ServiceRequest can
 # provoke must propagate as Status/Result and surface as a typed wire error
 # (INVALID_REQUEST / INTERNAL_ERROR) — a CHECK here turns one poisoned
-# request into a fleet-wide abort.
+# request into a fleet-wide abort. The JsonValue::As*() accessors and
+# JsonValue::at("key") CHECK too (on a wrong type or a missing key), so they
+# are flagged as well: untrusted JSON goes through the To* conversions or the
+# field visitors of src/common/json_fields.h.
 #
 # DCHECK (debug-only, internal-invariant) is allowed: the pattern requires
 # the character before CHECK to not be part of a longer identifier.
@@ -11,7 +14,7 @@
 # Usage: tools/lint_check_free.sh  (from the repository root)
 set -eu
 
-PATTERN='(^|[^A-Z_])CHECK(_[A-Z]+)?\('
+PATTERN='(^|[^A-Z_])CHECK(_[A-Z]+)?\(|\.As(Bool|Double|Int|Uint|String|Array|Object)\(\)|\.at\("'
 
 # The request-reachable surface: everything a deserialized ServiceRequest
 # flows through, from parse to response. Extend this list when new TUs join
@@ -53,6 +56,10 @@ src/service/fleet_journal.cc
 src/service/fleet_journal.h
 src/common/cancellation.h
 src/common/json_fields.h
+src/trace/serialization.cc
+src/trace/serialization.h
+src/estimator/serialization.cc
+src/estimator/serialization.h
 "
 
 status=0
@@ -63,14 +70,14 @@ for file in $FILES; do
     continue
   fi
   if grep -nE "$PATTERN" "$file"; then
-    echo "lint_check_free: $file: CHECK aborts the whole server on a bad" >&2
-    echo "  request. Return a Status/Result instead (or DCHECK a genuine" >&2
-    echo "  internal invariant)." >&2
+    echo "lint_check_free: $file: CHECK (or a CHECK-ing JsonValue As*()/at()" >&2
+    echo "  accessor) aborts the whole server on a bad request. Return a" >&2
+    echo "  Status/Result instead (or DCHECK a genuine internal invariant)." >&2
     status=1
   fi
 done
 
 if [ "$status" -eq 0 ]; then
-  echo "lint_check_free: OK — no aborting CHECK in request-reachable TUs"
+  echo "lint_check_free: OK — no aborting CHECK or As*()/at() in request-reachable TUs"
 fi
 exit "$status"
