@@ -105,7 +105,9 @@ void BM_Simulation(benchmark::State& state) {
   Result<JobTrace> job = collator.Collate(std::move(launched->traces));
   CHECK(job.ok());
   GroundTruthExecutor executor(H100Cluster(8), 3);
-  const JobTrace annotated = executor.AnnotateActualDurations(*job);
+  Result<JobTrace> annotated_job = executor.AnnotateActualDurations(*job);
+  CHECK(annotated_job.ok());
+  const JobTrace& annotated = *annotated_job;
   size_t events = 0;
   for (auto _ : state) {
     Simulator simulator(annotated, H100Cluster(8));
@@ -198,10 +200,11 @@ struct EstimationFixture {
     for (WorkerTrace& worker : job.workers) {
       for (TraceOp& op : worker.ops) {
         if (op.type == TraceOpType::kKernelLaunch) {
-          op.duration_us = bank.kernel->PredictUs(op.kernel);
+          op.duration_us = bank.kernel->PredictUs(worker.kernel(op));
         } else if (op.type == TraceOpType::kCollective) {
-          const CommGroup& group = job.comm(op.collective.comm_uid);
-          CollectiveRequest request{op.collective.kind, op.collective.bytes, group.members};
+          const CollectiveOpInfo& collective = worker.collective(op);
+          const CommGroup& group = **job.comm(collective.comm_uid);
+          CollectiveRequest request{collective.kind, collective.bytes, group.members};
           op.duration_us = bank.collective->PredictUs(request, cluster);
         }
       }

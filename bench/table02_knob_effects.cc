@@ -33,10 +33,8 @@ Load MeasureLoad(const Setup& setup, const TrainConfig& config) {
   double peak = 0.0;
   for (const WorkerTrace& trace : launched->traces) {
     peak = std::max(peak, static_cast<double>(trace.peak_device_bytes));
-    for (const TraceOp& op : trace.ops) {
-      if (op.type == TraceOpType::kCollective) {
-        comm_bytes += static_cast<double>(op.collective.bytes);
-      }
+    for (const CollectiveOpInfo& collective : trace.collectives) {
+      comm_bytes += static_cast<double>(collective.bytes);
     }
   }
   load.comm_gib = comm_bytes / launched->traces.size() / (1024.0 * 1024.0 * 1024.0);

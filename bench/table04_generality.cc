@@ -76,8 +76,8 @@ int main() {
         kernels += trace.KernelLaunchCount();
         for (const TraceOp& op : trace.ops) {
           if (op.type == TraceOpType::kKernelLaunch &&
-              (op.kernel.kind == KernelKind::kMemcpyD2H ||
-               op.kernel.kind == KernelKind::kMemcpyH2D)) {
+              (trace.kernel(op).kind == KernelKind::kMemcpyD2H ||
+               trace.kernel(op).kind == KernelKind::kMemcpyH2D)) {
             ++offload_copies;
           }
         }

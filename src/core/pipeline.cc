@@ -28,15 +28,21 @@ class StageClock {
   std::chrono::steady_clock::time_point last_;
 };
 
-// Dedup map keyed by pointers into the trace (ops are not mutated structurally
-// during annotation, so the pointers stay valid) — avoids copying KernelDescs.
-struct KernelPtrHash {
-  size_t operator()(const KernelDesc* kernel) const {
-    return static_cast<size_t>(kernel->Hash());
+// Job-wide kernel dedup over the workers' interned kernel tables, keyed by
+// pointers into the tables (annotation never changes them) and hashed by the
+// signature each table computed at interning — no KernelDesc copies and no
+// rehashing.
+struct TableKernel {
+  const KernelDesc* desc;
+  uint64_t signature;
+};
+struct TableKernelHash {
+  size_t operator()(const TableKernel& kernel) const {
+    return static_cast<size_t>(kernel.signature);
   }
 };
-struct KernelPtrEq {
-  bool operator()(const KernelDesc* a, const KernelDesc* b) const { return *a == *b; }
+struct TableKernelEq {
+  bool operator()(const TableKernel& a, const TableKernel& b) const { return *a.desc == *b.desc; }
 };
 
 // Within one JobTrace a communicator uid pins the member list, so
@@ -143,8 +149,10 @@ void MayaPipeline::PredictKernels(const std::vector<const KernelDesc*>& kernels,
 
 EstimationStats MayaPipeline::AnnotateDurations(JobTrace& job,
                                                 const GroundTruthExecutor* oracle) const {
-  // A null token can never fail, so the cancellable variant's Result always
-  // holds a value here.
+  // For collated traces, which declare every communicator their collectives
+  // name, and with a null token that can never fail, the cancellable
+  // variant's Result always holds a value here. Request paths (Predict, the
+  // service) call that variant and surface its errors.
   return *AnnotateDurations(job, oracle, nullptr);
 }
 
@@ -162,57 +170,53 @@ Result<EstimationStats> MayaPipeline::AnnotateDurations(JobTrace& job,
         if (op.type == TraceOpType::kKernelLaunch) {
           ++stats.kernel_ops;
           op.duration_us = oracle->kernel_model().NoisyUs(
-              op.kernel, HashCombine(static_cast<uint64_t>(worker.rank), i));
+              worker.kernel(op), HashCombine(static_cast<uint64_t>(worker.rank), i));
         } else if (op.type == TraceOpType::kCollective) {
           ++stats.collective_ops;
-          const CommGroup& group = job.comm(op.collective.comm_uid);
-          CollectiveRequest request{op.collective.kind, op.collective.bytes, group.members};
+          const CollectiveOpInfo& collective = worker.collective(op);
+          MAYA_ASSIGN_OR_RETURN(const CommGroup* group, job.comm(collective.comm_uid));
+          CollectiveRequest request{collective.kind, collective.bytes, group->members};
           op.duration_us = oracle->collective_model().NoisyUs(
-              request, HashCombine(op.collective.comm_uid, op.collective.seq));
+              request, HashCombine(collective.comm_uid, collective.seq));
         }
       }
     }
     return stats;
   }
 
-  // Pass 1: dedup. Collect the unique kernels / collectives and record, in
-  // op-walk order, which unique slot each op resolves to.
-  size_t total_ops = 0;
-  for (const WorkerTrace& worker : job.workers) {
-    total_ops += worker.ops.size();
-  }
-  std::unordered_map<const KernelDesc*, uint32_t, KernelPtrHash, KernelPtrEq> kernel_slots;
+  // Pass 1: dedup. Each worker's kernel table already holds its distinct
+  // kernels in first-launch order, so the union of the tables in worker
+  // order is the job's unique kernel set in first-occurrence order, and each
+  // table entry resolves to one unique slot. Collectives resolve per entry
+  // of the (one-per-op) collective tables.
+  std::unordered_map<TableKernel, uint32_t, TableKernelHash, TableKernelEq> kernel_slots;
   std::vector<const KernelDesc*> unique_kernels;
-  std::vector<uint32_t> kernel_op_slots;
-  kernel_op_slots.reserve(total_ops);
+  std::vector<uint32_t> kernel_entry_slots;  // per table entry, workers concatenated
   std::unordered_map<LocalCollectiveKey, uint32_t, LocalCollectiveKeyHash> collective_slots;
   std::vector<LocalCollectiveKey> unique_collectives;
-  std::vector<uint32_t> collective_op_slots;
-  collective_op_slots.reserve(total_ops / 4);
-  for (WorkerTrace& worker : job.workers) {
-    for (TraceOp& op : worker.ops) {
-      if (op.type == TraceOpType::kKernelLaunch) {
-        auto [it, inserted] =
-            kernel_slots.try_emplace(&op.kernel, static_cast<uint32_t>(unique_kernels.size()));
-        if (inserted) {
-          unique_kernels.push_back(&op.kernel);
-        }
-        kernel_op_slots.push_back(it->second);
-      } else if (op.type == TraceOpType::kCollective) {
-        const LocalCollectiveKey key{op.collective.kind, op.collective.bytes,
-                                     op.collective.comm_uid};
-        auto [it, inserted] =
-            collective_slots.try_emplace(key, static_cast<uint32_t>(unique_collectives.size()));
-        if (inserted) {
-          unique_collectives.push_back(key);
-        }
-        collective_op_slots.push_back(it->second);
+  std::vector<uint32_t> collective_entry_slots;  // per collective op, workers concatenated
+  for (const WorkerTrace& worker : job.workers) {
+    for (size_t k = 0; k < worker.kernels.size(); ++k) {
+      const TableKernel kernel{&worker.kernels[k], worker.kernels.signature(k)};
+      auto [it, inserted] =
+          kernel_slots.try_emplace(kernel, static_cast<uint32_t>(unique_kernels.size()));
+      if (inserted) {
+        unique_kernels.push_back(kernel.desc);
       }
+      kernel_entry_slots.push_back(it->second);
+    }
+    for (const CollectiveOpInfo& collective : worker.collectives) {
+      const LocalCollectiveKey key{collective.kind, collective.bytes, collective.comm_uid};
+      auto [it, inserted] =
+          collective_slots.try_emplace(key, static_cast<uint32_t>(unique_collectives.size()));
+      if (inserted) {
+        unique_collectives.push_back(key);
+      }
+      collective_entry_slots.push_back(it->second);
     }
   }
-  stats.kernel_ops = kernel_op_slots.size();
   stats.unique_kernels = unique_kernels.size();
-  stats.collective_ops = collective_op_slots.size();
+  stats.collective_ops = collective_entry_slots.size();
   stats.unique_collectives = unique_collectives.size();
   // Checkpoint between dedup and prediction: nothing published yet.
   MAYA_RETURN_IF_ERROR(CheckCancel(cancel));
@@ -256,7 +260,8 @@ Result<EstimationStats> MayaPipeline::AnnotateDurations(JobTrace& job,
   std::vector<double> collective_durations(unique_collectives.size());
   for (size_t i = 0; i < unique_collectives.size(); ++i) {
     const LocalCollectiveKey& key = unique_collectives[i];
-    CollectiveRequest request{key.kind, key.bytes, job.comm(key.comm_uid).members};
+    MAYA_ASSIGN_OR_RETURN(const CommGroup* group, job.comm(key.comm_uid));
+    CollectiveRequest request{key.kind, key.bytes, group->members};
     if (options_.enable_estimate_cache) {
       if (std::optional<double> hit = collective_estimate_cache_.Lookup(request)) {
         collective_durations[i] = *hit;
@@ -272,18 +277,21 @@ Result<EstimationStats> MayaPipeline::AnnotateDurations(JobTrace& job,
     }
   }
 
-  // Pass 3: broadcast durations to every matching op, consuming the slot
-  // streams in the same walk order as pass 1.
-  size_t kernel_cursor = 0;
-  size_t collective_cursor = 0;
+  // Pass 3: broadcast durations to every op through its table entry's slot.
+  size_t kernel_base = 0;
+  size_t collective_base = 0;
   for (WorkerTrace& worker : job.workers) {
     for (TraceOp& op : worker.ops) {
       if (op.type == TraceOpType::kKernelLaunch) {
-        op.duration_us = kernel_durations[kernel_op_slots[kernel_cursor++]];
+        ++stats.kernel_ops;
+        op.duration_us = kernel_durations[kernel_entry_slots[kernel_base + op.payload]];
       } else if (op.type == TraceOpType::kCollective) {
-        op.duration_us = collective_durations[collective_op_slots[collective_cursor++]];
+        op.duration_us =
+            collective_durations[collective_entry_slots[collective_base + op.payload]];
       }
     }
+    kernel_base += worker.kernels.size();
+    collective_base += worker.collectives.size();
   }
   return stats;
 }

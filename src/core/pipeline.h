@@ -172,10 +172,12 @@ class MayaPipeline {
   Result<PredictionReport> Predict(const PredictionRequest& request) const;
 
   // Stage 3 alone: annotates kernel + collective durations in place.
-  // Deduplicates the trace's ops, predicts each unique key once (through the
-  // cross-trial estimate cache, in parallel when configured), and broadcasts
-  // durations to all matching ops. Oracle mode bypasses the cache: oracle
-  // durations are per-instance noisy, not functions of the key.
+  // Deduplicates the workers' kernel tables and collective ops job-wide,
+  // predicts each unique key once (through the cross-trial estimate cache, in
+  // parallel when configured), and broadcasts durations to all matching ops.
+  // Oracle mode bypasses the cache: oracle durations are per-instance noisy,
+  // not functions of the key. A collective on a communicator the trace does
+  // not declare is INTERNAL.
   // The cancellable variant probes `cancel` between the dedup, prediction and
   // broadcast passes — always BEFORE inserting freshly predicted batches into
   // the estimate caches, so a cancelled annotation publishes nothing.

@@ -323,7 +323,7 @@ Result<LaunchResult> EmulateJob(const ModelConfig& model, const TrainConfig& con
       if (!full_rank[static_cast<size_t>(trace.rank)]) {
         trace.comm_init_only = true;
         trace.duplicate_of = representative[static_cast<size_t>(trace.rank)];
-        trace.ops.clear();  // bootstrap host noise is not part of the job trace
+        trace.ClearOps();  // bootstrap host noise is not part of the job trace
       }
     }
   }

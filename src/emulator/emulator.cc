@@ -29,8 +29,10 @@ uint64_t AlignUp(uint64_t bytes) {
 WorkerEmulator::WorkerEmulator(int rank, const EmulationSpec& spec, JobBootstrap* bootstrap,
                                const HostClock* clock, size_t trace_op_reserve)
     : rank_(rank), spec_(spec), bootstrap_(bootstrap), clock_(clock) {
-  CHECK(bootstrap_ != nullptr);
-  CHECK(clock_ != nullptr);
+  // Constructor contract, not a request-reachable path: JobEmulation hands
+  // every worker its own bootstrap and the launcher's per-rank clock.
+  DCHECK(bootstrap_ != nullptr);
+  DCHECK(clock_ != nullptr);
   trace_.rank = rank;
   trace_.ops.reserve(trace_op_reserve);
   last_call_time_us_ = clock_->NowUs();
@@ -38,14 +40,11 @@ WorkerEmulator::WorkerEmulator(int rank, const EmulationSpec& spec, JobBootstrap
   current_device_ = rank % spec_.cluster.gpus_per_node;
 }
 
-TraceOp& WorkerEmulator::Record(TraceOpType type, StreamHandle stream) {
+double WorkerEmulator::HostDelayUs() {
   const double now = clock_->NowUs();
-  TraceOp& op = trace_.ops.emplace_back();
-  op.type = type;
-  op.host_delay_us = std::max(0.0, now - last_call_time_us_);
-  op.stream = stream.id;
+  const double delay = std::max(0.0, now - last_call_time_us_);
   last_call_time_us_ = now;
-  return op;
+  return delay;
 }
 
 CudaError WorkerEmulator::Flag(CudaError error, const std::string& context) {
@@ -103,7 +102,7 @@ CudaError WorkerEmulator::cudaMemGetInfo(uint64_t* free_bytes, uint64_t* total_b
 CudaError WorkerEmulator::cudaDeviceSynchronize() {
   ++stats_.api_calls;
   ++stats_.sync_calls;
-  Record(TraceOpType::kDeviceSynchronize, StreamHandle{0});
+  trace_.AddSync(TraceOpType::kDeviceSynchronize, 0, HostDelayUs());
   return CudaError::kSuccess;
 }
 
@@ -127,9 +126,7 @@ CudaError WorkerEmulator::cudaMalloc(DevPtr* ptr, uint64_t bytes) {
   used_device_bytes_ += rounded;
   peak_device_bytes_ = std::max(peak_device_bytes_, used_device_bytes_);
   ++stats_.mallocs;
-  TraceOp& op = Record(TraceOpType::kMalloc, StreamHandle{0});
-  op.memory.bytes = rounded;
-  op.memory.ptr = allocated;
+  trace_.AddMemory(TraceOpType::kMalloc, 0, HostDelayUs(), MemoryOpInfo{rounded, allocated});
   *ptr = allocated;
   return CudaError::kSuccess;
 }
@@ -145,9 +142,7 @@ CudaError WorkerEmulator::cudaFree(DevPtr ptr) {
   }
   used_device_bytes_ -= it->second;
   ++stats_.frees;
-  TraceOp& op = Record(TraceOpType::kFree, StreamHandle{0});
-  op.memory.bytes = it->second;
-  op.memory.ptr = ptr;
+  trace_.AddMemory(TraceOpType::kFree, 0, HostDelayUs(), MemoryOpInfo{it->second, ptr});
   device_allocations_.erase(it);
   return CudaError::kSuccess;
 }
@@ -212,8 +207,7 @@ CudaError WorkerEmulator::cudaMemcpyAsync(DevPtr dst, DevPtr src, uint64_t bytes
       kernel_kind = KernelKind::kMemcpyD2D;
       break;
   }
-  TraceOp& op = Record(TraceOpType::kKernelLaunch, stream);
-  op.kernel = MakeMemcpy(kernel_kind, static_cast<int64_t>(bytes));
+  trace_.AddKernel(stream.id, HostDelayUs(), MakeMemcpy(kernel_kind, static_cast<int64_t>(bytes)));
   ++stats_.kernels_launched;
   return CudaError::kSuccess;
 }
@@ -225,7 +219,7 @@ CudaError WorkerEmulator::cudaMemcpy(DevPtr dst, DevPtr src, uint64_t bytes, Mem
   }
   // Synchronous copies imply a legacy-stream synchronize.
   ++stats_.sync_calls;
-  Record(TraceOpType::kStreamSynchronize, StreamHandle{0});
+  trace_.AddSync(TraceOpType::kStreamSynchronize, 0, HostDelayUs());
   return CudaError::kSuccess;
 }
 
@@ -239,8 +233,7 @@ CudaError WorkerEmulator::cudaMemsetAsync(DevPtr ptr, int value, uint64_t bytes,
   if (device_allocations_.count(ptr) == 0) {
     return Flag(CudaError::kErrorInvalidDevicePointer, "cudaMemsetAsync(ptr)");
   }
-  TraceOp& op = Record(TraceOpType::kKernelLaunch, stream);
-  op.kernel = MakeMemset(static_cast<int64_t>(bytes));
+  trace_.AddKernel(stream.id, HostDelayUs(), MakeMemset(static_cast<int64_t>(bytes)));
   ++stats_.kernels_launched;
   return CudaError::kSuccess;
 }
@@ -271,7 +264,7 @@ CudaError WorkerEmulator::cudaStreamSynchronize(StreamHandle stream) {
   if (!StreamValid(stream)) {
     return Flag(CudaError::kErrorInvalidResourceHandle, "cudaStreamSynchronize");
   }
-  Record(TraceOpType::kStreamSynchronize, stream);
+  trace_.AddSync(TraceOpType::kStreamSynchronize, stream.id, HostDelayUs());
   return CudaError::kSuccess;
 }
 
@@ -304,9 +297,8 @@ CudaError WorkerEmulator::cudaEventRecord(EventHandle event, StreamHandle stream
   }
   // Handle re-use is disambiguated by versioning (Appendix A).
   it->second += 1;
-  TraceOp& op = Record(TraceOpType::kEventRecord, stream);
-  op.event.event_id = static_cast<uint32_t>(event.id);
-  op.event.version = it->second;
+  trace_.AddEvent(TraceOpType::kEventRecord, stream.id, HostDelayUs(),
+                  EventOpInfo{static_cast<uint32_t>(event.id), it->second});
   return CudaError::kSuccess;
 }
 
@@ -319,9 +311,9 @@ CudaError WorkerEmulator::cudaStreamWaitEvent(StreamHandle stream, EventHandle e
   if (!StreamValid(stream)) {
     return Flag(CudaError::kErrorInvalidResourceHandle, "cudaStreamWaitEvent(stream)");
   }
-  TraceOp& op = Record(TraceOpType::kStreamWaitEvent, stream);
-  op.event.event_id = static_cast<uint32_t>(event.id);
-  op.event.version = it->second;  // waits on the most recent record
+  // Waits on the most recent record.
+  trace_.AddEvent(TraceOpType::kStreamWaitEvent, stream.id, HostDelayUs(),
+                  EventOpInfo{static_cast<uint32_t>(event.id), it->second});
   return CudaError::kSuccess;
 }
 
@@ -332,9 +324,8 @@ CudaError WorkerEmulator::cudaEventSynchronize(EventHandle event) {
   if (it == events_.end()) {
     return Flag(CudaError::kErrorInvalidResourceHandle, "cudaEventSynchronize");
   }
-  TraceOp& op = Record(TraceOpType::kEventSynchronize, StreamHandle{0});
-  op.event.event_id = static_cast<uint32_t>(event.id);
-  op.event.version = it->second;
+  trace_.AddEvent(TraceOpType::kEventSynchronize, 0, HostDelayUs(),
+                  EventOpInfo{static_cast<uint32_t>(event.id), it->second});
   return CudaError::kSuccess;
 }
 
@@ -355,8 +346,7 @@ CudaError WorkerEmulator::cudaLaunchKernel(const KernelDesc& kernel, StreamHandl
   if (!StreamValid(stream)) {
     return Flag(CudaError::kErrorInvalidResourceHandle, "cudaLaunchKernel(stream)");
   }
-  TraceOp& op = Record(TraceOpType::kKernelLaunch, stream);
-  op.kernel = kernel;
+  trace_.AddKernel(stream.id, HostDelayUs(), kernel);
   ++stats_.kernels_launched;
   return CudaError::kSuccess;
 }
@@ -413,8 +403,7 @@ CudaError WorkerEmulator::cublasGemmEx(CublasHandle handle, int64_t m, int64_t n
   }
   // Context-aware operation modeling (§4.1): the launch inherits the stream
   // bound earlier via cublasSetStream.
-  TraceOp& op = Record(TraceOpType::kKernelLaunch, it->second.stream);
-  op.kernel = MakeGemm(m, n, k, dtype);
+  trace_.AddKernel(it->second.stream.id, HostDelayUs(), MakeGemm(m, n, k, dtype));
   ++stats_.kernels_launched;
   return CudaError::kSuccess;
 }
@@ -426,8 +415,7 @@ CudaError WorkerEmulator::cublasGemmStridedBatchedEx(CublasHandle handle, int64_
   if (it == cublas_handles_.end()) {
     return Flag(CudaError::kErrorInvalidResourceHandle, "cublasGemmStridedBatchedEx(handle)");
   }
-  TraceOp& op = Record(TraceOpType::kKernelLaunch, it->second.stream);
-  op.kernel = MakeGemm(m, n, k, dtype, batch);
+  trace_.AddKernel(it->second.stream.id, HostDelayUs(), MakeGemm(m, n, k, dtype, batch));
   ++stats_.kernels_launched;
   return CudaError::kSuccess;
 }
@@ -573,9 +561,9 @@ CudaError WorkerEmulator::cudnnConvolutionForward(CudnnHandle handle, CudnnTenso
   }
   const TensorDescState& x = x_it->second;
   const FilterDescState& w = w_it->second;
-  TraceOp& op = Record(TraceOpType::kKernelLaunch, handle_it->second.stream);
-  op.kernel = MakeConv(KernelKind::kConvForward, x.n, x.c, x.h, x.w, w.k, w.r, w.s,
-                       conv_it->second.stride, x.dtype);
+  trace_.AddKernel(handle_it->second.stream.id, HostDelayUs(),
+                   MakeConv(KernelKind::kConvForward, x.n, x.c, x.h, x.w, w.k, w.r, w.s,
+                            conv_it->second.stride, x.dtype));
   ++stats_.kernels_launched;
   return CudaError::kSuccess;
 }
@@ -598,10 +586,10 @@ CudaError WorkerEmulator::cudnnConvolutionBackwardData(CudnnHandle handle, Cudnn
   const TensorDescState& dy = dy_it->second;
   const FilterDescState& w = w_it->second;
   const int64_t stride = conv_it->second.stride;
-  TraceOp& op = Record(TraceOpType::kKernelLaunch, handle_it->second.stream);
   // dy has output spatial dims; recover input dims via stride.
-  op.kernel = MakeConv(KernelKind::kConvBackwardData, dy.n, w.c, dy.h * stride, dy.w * stride,
-                       w.k, w.r, w.s, stride, dy.dtype);
+  trace_.AddKernel(handle_it->second.stream.id, HostDelayUs(),
+                   MakeConv(KernelKind::kConvBackwardData, dy.n, w.c, dy.h * stride,
+                            dy.w * stride, w.k, w.r, w.s, stride, dy.dtype));
   ++stats_.kernels_launched;
   return CudaError::kSuccess;
 }
@@ -624,11 +612,11 @@ CudaError WorkerEmulator::cudnnConvolutionBackwardFilter(CudnnHandle handle,
   }
   const TensorDescState& x = x_it->second;
   const TensorDescState& dy = dy_it->second;
-  TraceOp& op = Record(TraceOpType::kKernelLaunch, handle_it->second.stream);
   // Filter spatial extent is not part of the descriptors passed here in the
   // real API either (it comes from dw_desc); approximate 3x3 when unknown.
-  op.kernel = MakeConv(KernelKind::kConvBackwardFilter, x.n, x.c, x.h, x.w, dy.c, 3, 3,
-                       conv_it->second.stride, x.dtype);
+  trace_.AddKernel(handle_it->second.stream.id, HostDelayUs(),
+                   MakeConv(KernelKind::kConvBackwardFilter, x.n, x.c, x.h, x.w, dy.c, 3, 3,
+                            conv_it->second.stride, x.dtype));
   ++stats_.kernels_launched;
   return CudaError::kSuccess;
 }
@@ -674,14 +662,9 @@ CudaError WorkerEmulator::EmitCollective(CollectiveKind kind, uint64_t payload_b
     return Flag(CudaError::kErrorInvalidResourceHandle, "nccl collective (stream)");
   }
   CommState& state = it->second;
-  TraceOp& op = Record(TraceOpType::kCollective, stream);
-  op.collective.kind = kind;
-  op.collective.bytes = payload_bytes;
-  op.collective.comm_uid = state.uid;
-  op.collective.seq = state.next_seq++;
-  op.collective.nranks = state.nranks;
-  op.collective.rank_in_comm = state.rank_in_comm;
-  op.collective.peer = peer;
+  trace_.AddCollective(stream.id, HostDelayUs(),
+                       CollectiveOpInfo{kind, payload_bytes, state.uid, state.next_seq++,
+                                        state.nranks, state.rank_in_comm, peer});
   ++stats_.collectives;
   return CudaError::kSuccess;
 }

@@ -178,10 +178,10 @@ class WorkerEmulator final : public DeviceApi {
     uint32_t next_seq = 0;
   };
 
-  // Appends a trace op, attributing host time elapsed since the last
-  // recorded op as this op's host delay (wall-clock delta measurement of
+  // Host time elapsed since the last recorded op, attributed as the host
+  // delay of the op being recorded now (wall-clock delta measurement of
   // §4.2, against the virtual host clock).
-  TraceOp& Record(TraceOpType type, StreamHandle stream);
+  double HostDelayUs();
   CudaError Flag(CudaError error, const std::string& context);
   bool StreamValid(StreamHandle stream) const;
   CudaError EmitCollective(CollectiveKind kind, uint64_t payload_bytes, NcclComm comm,

@@ -25,19 +25,20 @@ GroundTruthExecutor::GroundTruthExecutor(const ClusterSpec& cluster, uint64_t se
   }
 }
 
-JobTrace GroundTruthExecutor::AnnotateActualDurations(JobTrace job) const {
+Result<JobTrace> GroundTruthExecutor::AnnotateActualDurations(JobTrace job) const {
   for (WorkerTrace& worker : job.workers) {
     for (size_t i = 0; i < worker.ops.size(); ++i) {
       TraceOp& op = worker.ops[i];
       if (op.type == TraceOpType::kKernelLaunch) {
         const uint64_t key = HashCombine(static_cast<uint64_t>(worker.rank), i);
-        op.duration_us = kernel_model_.NoisyUs(op.kernel, key);
+        op.duration_us = kernel_model_.NoisyUs(worker.kernel(op), key);
       } else if (op.type == TraceOpType::kCollective) {
         // One draw per collective instance: every participant must see the
         // same on-the-wire duration, so the key is (comm uid, seq).
-        const uint64_t key = HashCombine(op.collective.comm_uid, op.collective.seq);
-        const CommGroup& group = job.comm(op.collective.comm_uid);
-        CollectiveRequest request{op.collective.kind, op.collective.bytes, group.members};
+        const CollectiveOpInfo& collective = worker.collective(op);
+        const uint64_t key = HashCombine(collective.comm_uid, collective.seq);
+        MAYA_ASSIGN_OR_RETURN(const CommGroup* group, job.comm(collective.comm_uid));
+        CollectiveRequest request{collective.kind, collective.bytes, group->members};
         op.duration_us = collective_model_.NoisyUs(request, key);
       }
     }
@@ -46,7 +47,7 @@ JobTrace GroundTruthExecutor::AnnotateActualDurations(JobTrace job) const {
 }
 
 Result<SimReport> GroundTruthExecutor::Execute(const JobTrace& job) const {
-  const JobTrace annotated = AnnotateActualDurations(job);
+  MAYA_ASSIGN_OR_RETURN(const JobTrace annotated, AnnotateActualDurations(job));
   SimOptions options;
   options.compute_contention_factor = contention_factor_;
   Simulator simulator(annotated, cluster_, options);

@@ -32,8 +32,9 @@ class GroundTruthExecutor {
 
   // Attaches this run's observed per-instance durations to every kernel and
   // collective op. Deterministic: the oracle estimator (Table 3) reuses these
-  // exact values.
-  JobTrace AnnotateActualDurations(JobTrace job) const;
+  // exact values. INTERNAL when a collective names a communicator the trace
+  // does not declare.
+  Result<JobTrace> AnnotateActualDurations(JobTrace job) const;
 
   // Profiling-mode callbacks (each invocation is an independent measurement).
   KernelProfiler MakeKernelProfiler() const;

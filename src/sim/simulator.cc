@@ -257,7 +257,8 @@ ComponentOutcome SimulateComponent(const JobTrace& job, const std::vector<int>& 
     StreamState& stream = worker.streams[stream_id];
     while (!stream.busy && !stream.blocked_on_event && !stream.queue.empty()) {
       const QueuedOp queued = stream.queue.front();
-      const TraceOp& op = worker.trace->ops[queued.op_index];
+      const WorkerTrace& trace = *worker.trace;
+      const TraceOp& op = trace.ops[queued.op_index];
       const double earliest = std::max(
           stream.ready_time, queued.enqueue_time + dispatch_latency_us);
       switch (op.type) {
@@ -265,17 +266,18 @@ ComponentOutcome SimulateComponent(const JobTrace& job, const std::vector<int>& 
           // Markers complete instantly once reached in stream order.
           stream.queue.pop_front();
           stream.ready_time = std::max(stream.ready_time, queued.enqueue_time);
-          complete_event_record(worker, worker_index,
-                                EventKey(op.event.event_id, op.event.version),
+          const EventOpInfo& event = trace.event(op);
+          complete_event_record(worker, worker_index, EventKey(event.event_id, event.version),
                                 stream.ready_time);
           continue;
         }
         case TraceOpType::kStreamWaitEvent: {
-          if (op.event.version == 0) {
+          const EventOpInfo& event = trace.event(op);
+          if (event.version == 0) {
             stream.queue.pop_front();  // wait on never-recorded event: no-op
             continue;
           }
-          const uint64_t key = EventKey(op.event.event_id, op.event.version);
+          const uint64_t key = EventKey(event.event_id, event.version);
           auto completed = worker.event_completion.find(key);
           if (completed != worker.event_completion.end()) {
             stream.ready_time = std::max(stream.ready_time, completed->second);
@@ -305,10 +307,11 @@ ComponentOutcome SimulateComponent(const JobTrace& job, const std::vector<int>& 
           stream.executing_op = queued.op_index;
           stream.executing_start = earliest;
           comm_begin(worker, earliest);
-          const CollKey key{op.collective.comm_uid, op.collective.seq};
+          const CollectiveOpInfo& collective = trace.collective(op);
+          const CollKey key{collective.comm_uid, collective.seq};
           CollectiveWait& wait = collective_waits[key];
           wait.joined.push_back(CollectiveParticipant{worker_index, stream_id, earliest});
-          const int expected = expected_joins.at(op.collective.comm_uid);
+          const int expected = expected_joins.at(collective.comm_uid);
           CHECK_LE(static_cast<int>(wait.joined.size()), expected);
           if (static_cast<int>(wait.joined.size()) == expected) {
             // Last worker arrived: release everyone after the wire time
@@ -404,14 +407,15 @@ ComponentOutcome SimulateComponent(const JobTrace& job, const std::vector<int>& 
         case TraceOpType::kDeviceSynchronize: {
           // Establish the block descriptor, then test it.
           if (op.type == TraceOpType::kEventSynchronize) {
-            if (op.event.version == 0) {
+            const EventOpInfo& event = worker.trace->event(op);
+            if (event.version == 0) {
               worker.host_busy_us += op.host_delay_us;
               worker.host_time = issue;
               ++worker.next_op;
               continue;
             }
             worker.block = HostBlock::kEvent;
-            worker.block_key = EventKey(op.event.event_id, op.event.version);
+            worker.block_key = EventKey(event.event_id, event.version);
           } else if (op.type == TraceOpType::kStreamSynchronize) {
             worker.block = HostBlock::kStream;
             worker.block_key = op.stream;
@@ -548,18 +552,19 @@ Result<SimReport> Simulator::Run() {
   // of per-worker results, making the outcome order-independent (the set is
   // sorted before use anyway).
   auto coarse_scan = [&](size_t w) {
-    uint64_t hash = FnvMix(kFnvOffsetBasis, job_.workers[w].ops.size());
-    for (const TraceOp& op : job_.workers[w].ops) {
-      if (op.type != TraceOpType::kCollective) {
-        continue;
-      }
-      worker_uids[w].push_back(op.collective.comm_uid);
-      if (op.collective.kind == CollectiveKind::kSend ||
-          op.collective.kind == CollectiveKind::kRecv) {
+    const WorkerTrace& trace = job_.workers[w];
+    uint64_t hash = FnvMix(kFnvOffsetBasis, trace.ops.size());
+    for (const CollectiveOpInfo& collective : trace.collectives) {
+      worker_uids[w].push_back(collective.comm_uid);
+      if (collective.kind == CollectiveKind::kSend || collective.kind == CollectiveKind::kRecv) {
         has_p2p[w] = 1;
       }
-      if (fingerprint_workers) {
-        hash = FnvMix(hash, op.AnnotatedSignature(op.collective.comm_uid));
+    }
+    if (fingerprint_workers) {
+      for (const TraceOp& op : trace.ops) {
+        if (op.type == TraceOpType::kCollective) {
+          hash = FnvMix(hash, trace.AnnotatedSignature(op, trace.collective(op).comm_uid));
+        }
       }
     }
     coarse[w] = hash;
@@ -601,11 +606,13 @@ Result<SimReport> Simulator::Run() {
     // symmetric jobs every worker is a candidate.
     std::vector<uint64_t> full(candidates.size(), 0);
     auto full_fingerprint = [&](size_t index) {
+      const WorkerTrace& trace = job_.workers[static_cast<size_t>(candidates[index])];
       uint64_t hash = kFnvOffsetBasis;
-      for (const TraceOp& op :
-           job_.workers[static_cast<size_t>(candidates[index])].ops) {
-        hash = FnvMix(hash, op.AnnotatedSignature(
-                             op.type == TraceOpType::kCollective ? op.collective.comm_uid : 0));
+      for (const TraceOp& op : trace.ops) {
+        hash = FnvMix(hash, trace.AnnotatedSignature(
+                                op, op.type == TraceOpType::kCollective
+                                        ? trace.collective(op).comm_uid
+                                        : 0));
       }
       full[index] = hash;
     };
@@ -654,9 +661,9 @@ Result<SimReport> Simulator::Run() {
   std::vector<uint64_t> referenced_ordered(referenced_uids.begin(), referenced_uids.end());
   std::sort(referenced_ordered.begin(), referenced_ordered.end());
   for (uint64_t uid : referenced_ordered) {
-    const CommGroup& group = job_.comm(uid);
+    MAYA_ASSIGN_OR_RETURN(const CommGroup* group, job_.comm(uid));
     std::vector<int> reps;
-    for (int member : group.members) {
+    for (int member : group->members) {
       const int worker = rank_to_worker.Find(member);
       if (worker < 0) {
         continue;
@@ -750,14 +757,14 @@ Result<SimReport> Simulator::Run() {
         for (const TraceOp& op : trace.ops) {
           uint64_t token = 0;
           if (op.type == TraceOpType::kCollective) {
-            auto [it, inserted] =
-                local_comm.try_emplace(op.collective.comm_uid, local_comm.size());
+            const uint64_t uid = trace.collective(op).comm_uid;
+            auto [it, inserted] = local_comm.try_emplace(uid, local_comm.size());
             if (inserted) {
-              local_comm_order.push_back(op.collective.comm_uid);
+              local_comm_order.push_back(uid);
             }
             token = it->second;
           }
-          hash = FnvMix(hash, op.AnnotatedSignature(token));
+          hash = FnvMix(hash, trace.AnnotatedSignature(op, token));
         }
       }
       // Comm topology: per local communicator, the positions of its distinct
@@ -766,7 +773,8 @@ Result<SimReport> Simulator::Run() {
         const uint64_t uid = local_comm_order[local];
         hash = FnvMix(hash, local);
         std::vector<int> positions;
-        for (int member : job_.comm(uid).members) {
+        MAYA_ASSIGN_OR_RETURN(const CommGroup* group, job_.comm(uid));
+        for (int member : group->members) {
           const int worker = rank_to_worker.Find(member);
           if (worker < 0) {
             continue;
@@ -903,8 +911,8 @@ Result<SimReport> Simulator::Run() {
             trace.ops.size(), TraceOpTypeName(op.type),
             op.type == TraceOpType::kCollective
                 ? StrFormat(", comm %llu seq %u",
-                            static_cast<unsigned long long>(op.collective.comm_uid),
-                            op.collective.seq)
+                            static_cast<unsigned long long>(trace.collective(op).comm_uid),
+                            trace.collective(op).seq)
                       .c_str()
                 : ""));
       }

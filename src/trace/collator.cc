@@ -9,11 +9,21 @@
 #include "src/common/strings.h"
 
 namespace maya {
+namespace {
 
-const CommGroup& JobTrace::comm(uint64_t uid) const {
+bool IsPointToPoint(const CollectiveOpInfo& collective) {
+  return collective.kind == CollectiveKind::kSend || collective.kind == CollectiveKind::kRecv;
+}
+
+}  // namespace
+
+Result<const CommGroup*> JobTrace::comm(uint64_t uid) const {
   auto it = comms.find(uid);
-  CHECK(it != comms.end()) << "unknown communicator uid " << uid;
-  return it->second;
+  if (it == comms.end()) {
+    return Status::Internal(
+        StrFormat("unknown communicator uid %llu", static_cast<unsigned long long>(uid)));
+  }
+  return &it->second;
 }
 
 size_t JobTrace::TotalOps() const {
@@ -73,21 +83,20 @@ Status TraceCollator::ValidateFolding(const JobTrace& job) const {
   const RankLookup rank_to_worker(job.folded_ranks);
   // Point-to-point communicators must not have both endpoints folded into
   // one simulated worker: send/recv pairing would self-deadlock.
-  std::unordered_map<uint64_t, bool> p2p_uids;
+  std::vector<uint64_t> p2p_uids;
   for (const WorkerTrace& worker : job.workers) {
-    for (const TraceOp& op : worker.ops) {
-      if (op.type == TraceOpType::kCollective &&
-          (op.collective.kind == CollectiveKind::kSend ||
-           op.collective.kind == CollectiveKind::kRecv)) {
-        p2p_uids[op.collective.comm_uid] = true;
+    for (const CollectiveOpInfo& collective : worker.collectives) {
+      if (IsPointToPoint(collective)) {
+        p2p_uids.push_back(collective.comm_uid);
       }
     }
   }
-  for (const auto& [uid, used] : p2p_uids) {
-    (void)used;
-    const CommGroup& group = job.comm(uid);
+  std::sort(p2p_uids.begin(), p2p_uids.end());
+  p2p_uids.erase(std::unique(p2p_uids.begin(), p2p_uids.end()), p2p_uids.end());
+  for (uint64_t uid : p2p_uids) {
+    MAYA_ASSIGN_OR_RETURN(const CommGroup* group, job.comm(uid));
     std::vector<int> sim_workers;
-    for (int member : group.members) {
+    for (int member : group->members) {
       const int worker = rank_to_worker.Find(member);
       if (worker >= 0) {
         sim_workers.push_back(worker);
@@ -95,7 +104,7 @@ Status TraceCollator::ValidateFolding(const JobTrace& job) const {
     }
     std::sort(sim_workers.begin(), sim_workers.end());
     sim_workers.erase(std::unique(sim_workers.begin(), sim_workers.end()), sim_workers.end());
-    if (sim_workers.size() == 1 && group.members.size() > 1) {
+    if (sim_workers.size() == 1 && group->members.size() > 1) {
       return Status::Internal(
           StrFormat("unsafe fold: p2p comm %llu endpoints map to one simulated worker",
                     static_cast<unsigned long long>(uid)));
@@ -211,11 +220,9 @@ Result<JobTrace> TraceCollator::Collate(std::vector<WorkerTrace> workers,
     std::vector<std::vector<uint64_t>> p2p_uids(member_indices.size());
     for (size_t m = 0; m < member_indices.size(); ++m) {
       const WorkerTrace& worker = workers[static_cast<size_t>(member_indices[m])];
-      for (const TraceOp& op : worker.ops) {
-        if (op.type == TraceOpType::kCollective &&
-            (op.collective.kind == CollectiveKind::kSend ||
-             op.collective.kind == CollectiveKind::kRecv)) {
-          p2p_uids[m].push_back(op.collective.comm_uid);
+      for (const CollectiveOpInfo& collective : worker.collectives) {
+        if (IsPointToPoint(collective)) {
+          p2p_uids[m].push_back(collective.comm_uid);
         }
       }
       std::sort(p2p_uids[m].begin(), p2p_uids[m].end());

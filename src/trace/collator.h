@@ -41,8 +41,9 @@ struct JobTrace {
   std::vector<RankSet> folded_ranks;
   std::unordered_map<uint64_t, CommGroup> comms;
 
-  // Global ranks participating in the communicator; CHECK-fails on unknown uid.
-  const CommGroup& comm(uint64_t uid) const;
+  // The communicator with this uid; INTERNAL when the trace declares none
+  // (an inconsistent trace is an error to surface, never an abort).
+  Result<const CommGroup*> comm(uint64_t uid) const;
   size_t TotalOps() const;
   std::string Summary() const;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <set>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -88,18 +89,24 @@ Result<std::unordered_map<uint64_t, CommGroup>> CommsByUid(std::vector<CommGroup
   return comms;
 }
 
-// The trace form of a KernelDesc: decimal counts plus the CUDA symbol for
-// human readers (the estimator artifacts carry the bit-exact form).
-constexpr auto kTraceKernelFields = [](auto& v, KernelDesc& kernel) {
-  v.Enum("kind", kernel.kind, KernelKindName, kKernelKinds);
-  v.WriteOnly("op", KernelKindCudaSymbol(kernel.kind));
-  v.Enum("dtype", kernel.dtype, DTypeName, kDTypes);
-  v("params", kernel.params);
-  v("flops", kernel.flops);
-  v("bytes_read", kernel.bytes_read);
-  v("bytes_written", kernel.bytes_written);
-  v("fused_ops", kernel.fused_op_count, Presence::kOmitZero);
+// The trace form of a kernel launch's payload: decimal counts plus the CUDA
+// symbol for human readers (the estimator artifacts carry the bit-exact form
+// of a KernelDesc).
+struct TraceKernel {
+  KernelDesc desc;
 };
+
+template <class V>
+void Fields(V& v, TraceKernel& kernel) {
+  v.Enum("kind", kernel.desc.kind, KernelKindName, kKernelKinds);
+  v.WriteOnly("op", KernelKindCudaSymbol(kernel.desc.kind));
+  v.Enum("dtype", kernel.desc.dtype, DTypeName, kDTypes);
+  v("params", kernel.desc.params);
+  v("flops", kernel.desc.flops);
+  v("bytes_read", kernel.desc.bytes_read);
+  v("bytes_written", kernel.desc.bytes_written);
+  v("fused_ops", kernel.desc.fused_op_count, Presence::kOmitZero);
+}
 
 }  // namespace
 
@@ -126,28 +133,50 @@ void Fields(V& v, MemoryOpInfo& memory) {
   v("ptr", memory.ptr);
 }
 
-// An op carries the payload its type names, and only that one.
+// A payload kept in a dense side table, one entry per op in op order: written
+// from the entry the op's index names, read by appending the next entry.
+template <class V, class T>
+void DensePayload(V& v, std::string_view key, uint32_t& payload, std::vector<T>& table) {
+  v.Via(
+      key, payload, [&table](uint32_t index) { return table[index]; },
+      [&table](T entry) -> Result<uint32_t> {
+        table.push_back(std::move(entry));
+        return static_cast<uint32_t>(table.size() - 1);
+      });
+}
+
+// An op carries the payload its type names, and only that one, inline in
+// its JSON object. In memory the payload sits in one of `worker`'s side
+// tables, so it travels Via() the op's payload index: the writer looks the
+// entry up, the reader appends it to its table (interning kernels) and stores
+// the new index. Ops are read in order, so every table is rebuilt exactly as
+// the emulator recorded it.
 template <class V>
-void Fields(V& v, TraceOp& op) {
+void OpFields(V& v, WorkerTrace& worker, TraceOp& op) {
   v.Enum("type", op.type, TraceOpTypeName, kTraceOpTypes);
   v("stream", op.stream);
   v("host_delay_us", op.host_delay_us);
   v("duration_us", op.duration_us, Presence::kOmitZero);
   switch (op.type) {
     case TraceOpType::kKernelLaunch:
-      v.Object("kernel", op.kernel, kTraceKernelFields);
+      v.Via(
+          "kernel", op.payload,
+          [&worker](uint32_t index) { return TraceKernel{worker.kernels[index]}; },
+          [&worker](TraceKernel kernel) -> Result<uint32_t> {
+            return worker.kernels.Intern(kernel.desc);
+          });
       break;
     case TraceOpType::kCollective:
-      v("collective", op.collective);
+      DensePayload(v, "collective", op.payload, worker.collectives);
       break;
     case TraceOpType::kEventRecord:
     case TraceOpType::kStreamWaitEvent:
     case TraceOpType::kEventSynchronize:
-      v("event", op.event);
+      DensePayload(v, "event", op.payload, worker.events);
       break;
     case TraceOpType::kMalloc:
     case TraceOpType::kFree:
-      v("memory", op.memory);
+      DensePayload(v, "memory", op.payload, worker.memory_ops);
       break;
     case TraceOpType::kStreamSynchronize:
     case TraceOpType::kDeviceSynchronize:
@@ -179,7 +208,8 @@ void Fields(V& v, WorkerTrace& worker) {
   v("peak_device_bytes", worker.peak_device_bytes);
   v("final_device_bytes", worker.final_device_bytes);
   v("comm_inits", worker.comm_inits);
-  v("events", worker.ops);
+  v.Array("events", worker.ops,
+          [&worker](auto& fields, TraceOp& op) { OpFields(fields, worker, op); });
 }
 
 template <class V>
@@ -293,36 +323,32 @@ Status ValidateJobTrace(const JobTrace& job) {
     // One collective join per (comm, seq) per worker — a duplicate would
     // over-fill the simulator's collective waitmap.
     std::set<std::pair<uint64_t, uint32_t>> seen_joins;
-    for (const TraceOp& op : worker.ops) {
-      if (op.type != TraceOpType::kCollective) {
-        continue;
-      }
-      auto comm_it = job.comms.find(op.collective.comm_uid);
+    for (const CollectiveOpInfo& collective : worker.collectives) {
+      auto comm_it = job.comms.find(collective.comm_uid);
       if (comm_it == job.comms.end()) {
         return Status::InvalidArgument(
             StrFormat("collective references undeclared comm uid %llu",
-                      static_cast<unsigned long long>(op.collective.comm_uid)));
+                      static_cast<unsigned long long>(collective.comm_uid)));
       }
       const CommGroup& group = comm_it->second;
-      if (op.collective.nranks != group.nranks) {
+      if (collective.nranks != group.nranks) {
         return Status::InvalidArgument(
             StrFormat("collective on comm %llu claims %d ranks but the comm has %d",
-                      static_cast<unsigned long long>(op.collective.comm_uid),
-                      op.collective.nranks, group.nranks));
+                      static_cast<unsigned long long>(collective.comm_uid), collective.nranks,
+                      group.nranks));
       }
       // The issuing worker must represent at least one member of the comm,
       // or it would join a collective the simulator never expects it in.
-      if (comm_workers.at(op.collective.comm_uid).count(w) == 0) {
+      if (comm_workers.at(collective.comm_uid).count(w) == 0) {
         return Status::InvalidArgument(
             StrFormat("worker %zu issues a collective on comm %llu but represents none of "
                       "its members",
-                      w, static_cast<unsigned long long>(op.collective.comm_uid)));
+                      w, static_cast<unsigned long long>(collective.comm_uid)));
       }
-      if (!seen_joins.emplace(op.collective.comm_uid, op.collective.seq).second) {
+      if (!seen_joins.emplace(collective.comm_uid, collective.seq).second) {
         return Status::InvalidArgument(
             StrFormat("worker %zu joins (comm %llu, seq %u) more than once", w,
-                      static_cast<unsigned long long>(op.collective.comm_uid),
-                      op.collective.seq));
+                      static_cast<unsigned long long>(collective.comm_uid), collective.seq));
       }
     }
   }

@@ -209,10 +209,7 @@ TEST_F(ArtifactStoreTest, BundleSaveLoadWarmsCaches) {
     job.world_size = 1;
     WorkerTrace worker;
     worker.rank = 0;
-    TraceOp op;
-    op.type = TraceOpType::kKernelLaunch;
-    op.kernel = kernel;
-    worker.ops.push_back(op);
+    worker.AddKernel(0, 0.0, kernel);
     job.workers.push_back(worker);
     pipeline.AnnotateDurations(job, nullptr);
   }
@@ -388,10 +385,7 @@ TEST_F(ArtifactStoreTest, V2RegistryRoundTripsBothBanksBitExact) {
     WorkerTrace worker;
     worker.rank = 0;
     for (const KernelDesc& kernel : ProbeKernels()) {
-      TraceOp op;
-      op.type = TraceOpType::kKernelLaunch;
-      op.kernel = kernel;
-      worker.ops.push_back(op);
+      worker.AddKernel(0, 0.0, kernel);
     }
     job.workers.push_back(worker);
     deployment->pipeline->AnnotateDurations(job, nullptr);

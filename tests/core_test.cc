@@ -3,8 +3,12 @@
 // timings, MFU computation and estimator training.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
+#include "src/common/strings.h"
 #include "src/core/estimator_bank.h"
 #include "src/core/pipeline.h"
 #include "src/models/model_zoo.h"
@@ -536,6 +540,62 @@ TEST_F(PipelineTest, ParallelSimulationSharedContextBitIdentical) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   ExpectBitIdenticalPredictions(*a, *b);
+}
+
+// Sim-cache keys are persisted in v2 bundles' sim_cache.json: a warm-started
+// deployment keeps hitting only while the annotated-trace fingerprints the
+// keys derive from stay put. A fresh pipeline's sorted keys, hex predictions
+// and estimation counts over three small jobs are pinned as literals; they
+// were captured before the trace ops moved to the compact layout and must not
+// move with any change to the trace representation.
+TEST_F(PipelineTest, SimCacheKeysAndPredictionsArePinned) {
+  struct Pinned {
+    const char* label;
+    PredictionRequest request;
+    const char* iteration_time_bits;
+    const char* mfu_bits;
+    EstimationStats estimation;
+  };
+  TrainConfig fsdp = BaseConfig();
+  fsdp.framework = ParallelFramework::kFsdp;
+  fsdp.tensor_parallel = 1;
+  fsdp.pipeline_parallel = 1;
+  TrainConfig ddp;
+  ddp.framework = ParallelFramework::kDdp;
+  ddp.global_batch_size = 64;
+  ddp.microbatch_multiplier = 1;
+  const std::vector<Pinned> jobs = {
+      {"megatron_tp2_pp2", PredictionRequest{TinyGpt(), BaseConfig()}, "40cde8aa5ab6f6b0",
+       "3fbff19cb7084da2", {1424, 32, 158, 9, 0, 41}},
+      {"fsdp_dp8", PredictionRequest{TinyGpt(), fsdp}, "40c6e449694a28e9", "3fc4de2a4d64dc88",
+       {712, 27, 48, 2, 8, 21}},
+      {"ddp_mobilenet", PredictionRequest{MobileNetV2(), ddp}, "40b3208203b9460f",
+       "3f7594458f2240ef", {344, 114, 4, 1, 0, 115}},
+  };
+  const std::vector<std::string> pinned_keys = {"28984acb6ca6e880", "48b2584576da8016",
+                                                "58409658f297da80"};
+  MayaPipeline pipeline(*cluster_, bank_->kernel.get(), bank_->collective.get());
+  for (const Pinned& job : jobs) {
+    const Result<PredictionReport> report = pipeline.Predict(job.request);
+    ASSERT_TRUE(report.ok()) << job.label << ": " << report.status().ToString();
+    ASSERT_FALSE(report->oom) << job.label;
+    EXPECT_EQ(DoubleBits(report->iteration_time_us), job.iteration_time_bits) << job.label;
+    EXPECT_EQ(DoubleBits(report->mfu), job.mfu_bits) << job.label;
+    const EstimationStats& stats = report->estimation;
+    const EstimationStats& want = job.estimation;
+    EXPECT_EQ(stats.kernel_ops, want.kernel_ops) << job.label;
+    EXPECT_EQ(stats.unique_kernels, want.unique_kernels) << job.label;
+    EXPECT_EQ(stats.collective_ops, want.collective_ops) << job.label;
+    EXPECT_EQ(stats.unique_collectives, want.unique_collectives) << job.label;
+    EXPECT_EQ(stats.cache_hits, want.cache_hits) << job.label;
+    EXPECT_EQ(stats.cache_misses, want.cache_misses) << job.label;
+  }
+  std::vector<std::string> keys;
+  for (const auto& [key, result] : pipeline.SnapshotSimCache()) {
+    keys.push_back(StrFormat("%016llx", static_cast<unsigned long long>(key)));
+  }
+  std::sort(keys.begin(), keys.end());
+  EXPECT_EQ(keys, pinned_keys);
 }
 
 TEST(ComputeMfuTest, ScalesInverselyWithTime) {

@@ -5,7 +5,9 @@
 // synchronization and collective matching across ranks).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "src/common/strings.h"
 #include "src/dlf/megatron_layout.h"
@@ -381,6 +383,44 @@ void ExpectLaunchIdentical(const LaunchResult& a, const LaunchResult& b) {
   }
 }
 
+TEST(TraceFootprintTest, KernelTableHoldsExactlyTheDistinctKernels) {
+  // A launch op names its kernel by index into the worker's interned table:
+  // the table must hold each distinct KernelDesc the worker launched exactly
+  // once, in first-launch order, and nothing else.
+  TrainConfig config;
+  config.global_batch_size = 32;
+  config.tensor_parallel = 2;
+  config.pipeline_parallel = 2;
+  config.microbatch_multiplier = 2;
+  Result<LaunchResult> launched = EmulateJob(TinyGpt(), config, H100Cluster(8));
+  ASSERT_TRUE(launched.ok()) << launched.status().ToString();
+  ASSERT_FALSE(launched->oom);
+  for (const WorkerTrace& trace : launched->traces) {
+    std::vector<KernelDesc> distinct;
+    size_t launches = 0;
+    for (const TraceOp& op : trace.ops) {
+      if (op.type != TraceOpType::kKernelLaunch) {
+        continue;
+      }
+      ++launches;
+      const KernelDesc& kernel = trace.kernel(op);
+      if (std::find(distinct.begin(), distinct.end(), kernel) == distinct.end()) {
+        distinct.push_back(kernel);
+      }
+    }
+    EXPECT_EQ(trace.kernels.descs(), distinct) << "rank " << trace.rank;
+    EXPECT_GT(launches, 10 * distinct.size()) << "rank " << trace.rank;
+    // Every other payload table is one entry per op of its kind.
+    EXPECT_EQ(trace.events.size() + trace.memory_ops.size() + trace.collectives.size() + launches,
+              trace.ops.size() - static_cast<size_t>(std::count_if(
+                                     trace.ops.begin(), trace.ops.end(), [](const TraceOp& op) {
+                                       return op.type == TraceOpType::kStreamSynchronize ||
+                                              op.type == TraceOpType::kDeviceSynchronize;
+                                     })))
+        << "rank " << trace.rank;
+  }
+}
+
 TEST(SelectiveLaunchTest, FsdpFoldsEveryRankOntoRankZero) {
   TrainConfig config;
   config.framework = ParallelFramework::kFsdp;
@@ -598,10 +638,11 @@ TEST(FsdpEngineTest, ActivationOffloadEmitsHostTransfers) {
   ASSERT_FALSE(launched->oom);
   size_t d2h = 0;
   size_t h2d = 0;
-  for (const TraceOp& op : launched->traces[0].ops) {
+  const WorkerTrace& trace = launched->traces[0];
+  for (const TraceOp& op : trace.ops) {
     if (op.type == TraceOpType::kKernelLaunch) {
-      d2h += op.kernel.kind == KernelKind::kMemcpyD2H ? 1 : 0;
-      h2d += op.kernel.kind == KernelKind::kMemcpyH2D ? 1 : 0;
+      d2h += trace.kernel(op).kind == KernelKind::kMemcpyD2H ? 1 : 0;
+      h2d += trace.kernel(op).kind == KernelKind::kMemcpyH2D ? 1 : 0;
     }
   }
   // One offload store per layer and one fetch per layer (plus input loads).
@@ -622,9 +663,10 @@ TEST(FsdpEngineTest, TorchCompileEmitsTritonAndCutsHostTime) {
   ASSERT_TRUE(eager.ok());
   ASSERT_TRUE(compiled.ok());
   size_t triton = 0;
-  for (const TraceOp& op : compiled->traces[0].ops) {
+  const WorkerTrace& trace = compiled->traces[0];
+  for (const TraceOp& op : trace.ops) {
     triton += op.type == TraceOpType::kKernelLaunch &&
-                      op.kernel.kind == KernelKind::kTritonFused
+                      trace.kernel(op).kind == KernelKind::kTritonFused
                   ? 1
                   : 0;
   }
@@ -645,17 +687,19 @@ TEST(VisionEngineTest, ResNetEmulatesThroughCudnnPath) {
   ASSERT_FALSE(launched->oom) << launched->oom_detail;
   size_t convs = 0;
   size_t bns = 0;
-  for (const TraceOp& op : launched->traces[0].ops) {
+  const WorkerTrace& trace = launched->traces[0];
+  for (const TraceOp& op : trace.ops) {
     if (op.type != TraceOpType::kKernelLaunch) {
       continue;
     }
-    convs += op.kernel.kind == KernelKind::kConvForward ||
-                     op.kernel.kind == KernelKind::kConvBackwardData ||
-                     op.kernel.kind == KernelKind::kConvBackwardFilter
+    const KernelDesc& kernel = trace.kernel(op);
+    convs += kernel.kind == KernelKind::kConvForward ||
+                     kernel.kind == KernelKind::kConvBackwardData ||
+                     kernel.kind == KernelKind::kConvBackwardFilter
                  ? 1
                  : 0;
-    bns += op.kernel.kind == KernelKind::kBatchNormForward ||
-                   op.kernel.kind == KernelKind::kBatchNormBackward
+    bns += kernel.kind == KernelKind::kBatchNormForward ||
+                   kernel.kind == KernelKind::kBatchNormBackward
                ? 1
                : 0;
   }

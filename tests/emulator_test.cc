@@ -159,10 +159,10 @@ TEST_F(EmulatorTest, EventVersioningTracksReuse) {
   ASSERT_EQ(worker_.cudaStreamWaitEvent(StreamHandle{0}, event), CudaError::kSuccess);
   const WorkerTrace trace = worker_.TakeTrace();
   ASSERT_EQ(trace.ops.size(), 3u);
-  EXPECT_EQ(trace.ops[0].event.version, 1u);
-  EXPECT_EQ(trace.ops[1].event.version, 2u);
+  EXPECT_EQ(trace.event(trace.ops[0]).version, 1u);
+  EXPECT_EQ(trace.event(trace.ops[1]).version, 2u);
   // The wait binds to the most recent record.
-  EXPECT_EQ(trace.ops[2].event.version, 2u);
+  EXPECT_EQ(trace.event(trace.ops[2]).version, 2u);
 }
 
 TEST_F(EmulatorTest, WaitOnUnrecordedEventIsVersionZero) {
@@ -170,7 +170,7 @@ TEST_F(EmulatorTest, WaitOnUnrecordedEventIsVersionZero) {
   ASSERT_EQ(worker_.cudaEventCreate(&event), CudaError::kSuccess);
   ASSERT_EQ(worker_.cudaStreamWaitEvent(StreamHandle{0}, event), CudaError::kSuccess);
   const WorkerTrace trace = worker_.TakeTrace();
-  EXPECT_EQ(trace.ops.back().event.version, 0u);
+  EXPECT_EQ(trace.event(trace.ops.back()).version, 0u);
 }
 
 TEST_F(EmulatorTest, InvalidEventHandleFlagged) {
@@ -193,7 +193,7 @@ TEST_F(EmulatorTest, CublasInheritsBoundStream) {
   ASSERT_EQ(trace.ops.size(), 1u);
   EXPECT_EQ(trace.ops[0].type, TraceOpType::kKernelLaunch);
   EXPECT_EQ(trace.ops[0].stream, stream.id);  // context-aware modeling (§4.1)
-  EXPECT_EQ(trace.ops[0].kernel.kind, KernelKind::kGemm);
+  EXPECT_EQ(trace.kernel(trace.ops[0]).kind, KernelKind::kGemm);
 }
 
 TEST_F(EmulatorTest, GemmWithInvalidHandleFlagged) {
@@ -223,7 +223,7 @@ TEST_F(EmulatorTest, CudnnDescriptorProtocolBuildsConvMetadata) {
             CudaError::kSuccess);
   const WorkerTrace trace = worker_.TakeTrace();
   ASSERT_EQ(trace.ops.size(), 1u);
-  const KernelDesc& kernel = trace.ops[0].kernel;
+  const KernelDesc& kernel = trace.kernel(trace.ops[0]);
   EXPECT_EQ(kernel.kind, KernelKind::kConvForward);
   EXPECT_EQ(kernel.params[0], 8);    // N assembled from the tensor descriptor
   EXPECT_EQ(kernel.params[4], 128);  // K from the filter descriptor
@@ -263,10 +263,10 @@ TEST_F(EmulatorTest, CollectivesCarrySequenceNumbers) {
             CudaError::kSuccess);
   const WorkerTrace trace = worker_.TakeTrace();
   ASSERT_EQ(trace.ops.size(), 2u);
-  EXPECT_EQ(trace.ops[0].collective.seq, 0u);
-  EXPECT_EQ(trace.ops[1].collective.seq, 1u);
-  EXPECT_EQ(trace.ops[0].collective.bytes, 2000u);  // count * sizeof(bf16)
-  EXPECT_EQ(trace.ops[0].collective.comm_uid, id.value);
+  EXPECT_EQ(trace.collective(trace.ops[0]).seq, 0u);
+  EXPECT_EQ(trace.collective(trace.ops[1]).seq, 1u);
+  EXPECT_EQ(trace.collective(trace.ops[0]).bytes, 2000u);  // count * sizeof(bf16)
+  EXPECT_EQ(trace.collective(trace.ops[0]).comm_uid, id.value);
 }
 
 TEST_F(EmulatorTest, AllGatherPayloadIsFullBuffer) {
@@ -277,7 +277,7 @@ TEST_F(EmulatorTest, AllGatherPayloadIsFullBuffer) {
   ASSERT_EQ(worker_.ncclAllGather(100, DType::kFp32, comm, StreamHandle{0}),
             CudaError::kSuccess);
   const WorkerTrace trace = worker_.TakeTrace();
-  EXPECT_EQ(trace.ops[0].collective.bytes, 100u * 4 * 4);
+  EXPECT_EQ(trace.collective(trace.ops[0]).bytes, 100u * 4 * 4);
 }
 
 TEST_F(EmulatorTest, GroupedP2pFlushedAtGroupEnd) {
@@ -292,8 +292,8 @@ TEST_F(EmulatorTest, GroupedP2pFlushedAtGroupEnd) {
   ASSERT_EQ(worker_.ncclGroupEnd(), CudaError::kSuccess);
   const WorkerTrace trace = worker_.TakeTrace();
   ASSERT_EQ(trace.ops.size(), 2u);
-  EXPECT_EQ(trace.ops[0].collective.kind, CollectiveKind::kSend);
-  EXPECT_EQ(trace.ops[1].collective.kind, CollectiveKind::kRecv);
+  EXPECT_EQ(trace.collective(trace.ops[0]).kind, CollectiveKind::kSend);
+  EXPECT_EQ(trace.collective(trace.ops[1]).kind, CollectiveKind::kRecv);
 }
 
 TEST_F(EmulatorTest, GroupEndWithoutStartFlagged) {

@@ -154,11 +154,7 @@ JobTrace TinyJob() {
   // One worker, two annotatable ops.
   WorkerTrace worker;
   worker.rank = 0;
-  TraceOp kernel;
-  kernel.type = TraceOpType::kKernelLaunch;
-  kernel.stream = 1;
-  kernel.kernel = MakeGemm(1024, 1024, 1024, DType::kBf16);
-  worker.ops.push_back(kernel);
+  worker.AddKernel(1, 0.0, MakeGemm(1024, 1024, 1024, DType::kBf16));
   JobTrace job;
   job.world_size = 1;
   job.workers.push_back(worker);
@@ -168,15 +164,17 @@ JobTrace TinyJob() {
 
 TEST(ExecutorTest, AnnotatesKernelDurations) {
   GroundTruthExecutor executor(H100Cluster(8), 11);
-  const JobTrace annotated = executor.AnnotateActualDurations(TinyJob());
-  EXPECT_GT(annotated.workers[0].ops[0].duration_us, 0.0);
+  const Result<JobTrace> annotated = executor.AnnotateActualDurations(TinyJob());
+  ASSERT_TRUE(annotated.ok()) << annotated.status().ToString();
+  EXPECT_GT(annotated->workers[0].ops[0].duration_us, 0.0);
 }
 
 TEST(ExecutorTest, AnnotationIsIdempotentlyDeterministic) {
   GroundTruthExecutor executor(H100Cluster(8), 11);
-  const JobTrace a = executor.AnnotateActualDurations(TinyJob());
-  const JobTrace b = executor.AnnotateActualDurations(TinyJob());
-  EXPECT_DOUBLE_EQ(a.workers[0].ops[0].duration_us, b.workers[0].ops[0].duration_us);
+  const Result<JobTrace> a = executor.AnnotateActualDurations(TinyJob());
+  const Result<JobTrace> b = executor.AnnotateActualDurations(TinyJob());
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_DOUBLE_EQ(a->workers[0].ops[0].duration_us, b->workers[0].ops[0].duration_us);
 }
 
 TEST(ExecutorTest, ExecuteProducesConsistentReport) {

@@ -67,11 +67,12 @@ TEST(IntegrationTest, FoldedSimulationMatchesUnfolded) {
     for (WorkerTrace& worker : job->workers) {
       for (TraceOp& op : worker.ops) {
         if (op.type == TraceOpType::kKernelLaunch) {
-          op.duration_us = executor.kernel_model().MeanUs(op.kernel);
+          op.duration_us = executor.kernel_model().MeanUs(worker.kernel(op));
         } else if (op.type == TraceOpType::kCollective) {
-          const CommGroup& group = job->comm(op.collective.comm_uid);
+          const CollectiveOpInfo& collective = worker.collective(op);
+          const CommGroup& group = **job->comm(collective.comm_uid);
           op.duration_us = executor.collective_model().MeanUs(
-              {op.collective.kind, op.collective.bytes, group.members});
+              {collective.kind, collective.bytes, group.members});
         }
       }
     }

@@ -256,18 +256,9 @@ AddDeploymentPayload AddAlpha() {
   return add;
 }
 
-TraceOp Op(TraceOpType type, uint64_t stream, double host_delay_us) {
-  TraceOp op;
-  op.type = type;
-  op.stream = stream;
-  op.host_delay_us = host_delay_us;
-  return op;
-}
-
-TraceOp CollectiveOp(uint64_t comm_uid, int rank_in_comm) {
-  TraceOp op = Op(TraceOpType::kCollective, 1, 0.5);
-  op.collective = {CollectiveKind::kAllReduce, 4096, comm_uid, 0, 2, rank_in_comm, -1};
-  return op;
+void AddCollectiveOp(WorkerTrace& worker, uint64_t comm_uid, int rank_in_comm) {
+  worker.AddCollective(1, 0.5,
+                       {CollectiveKind::kAllReduce, 4096, comm_uid, 0, 2, rank_in_comm, -1});
 }
 
 // Every op type, a negative duration (written: only exactly 0 is omitted),
@@ -279,25 +270,17 @@ WorkerTrace GoldenWorker() {
   worker.peak_device_bytes = 1 << 20;
   worker.final_device_bytes = 4096;
   worker.comm_inits = {{9, 2, 0}};
-  TraceOp gemm = Op(TraceOpType::kKernelLaunch, 0, 3.25);
-  gemm.kernel = MakeGemm(128, 256, 512, DType::kBf16);
-  gemm.duration_us = 12.5;
-  TraceOp fused = Op(TraceOpType::kKernelLaunch, 0, 1.75);
-  fused.kernel = MakeTritonFused(1 << 16, 3, DType::kBf16);
-  fused.duration_us = -1.5;
-  worker.ops = {gemm, fused, CollectiveOp(9, 0)};
+  worker.AddKernel(0, 3.25, MakeGemm(128, 256, 512, DType::kBf16)).duration_us = 12.5;
+  worker.AddKernel(0, 1.75, MakeTritonFused(1 << 16, 3, DType::kBf16)).duration_us = -1.5;
+  AddCollectiveOp(worker, 9, 0);
   for (TraceOpType type : {TraceOpType::kEventRecord, TraceOpType::kStreamWaitEvent,
                            TraceOpType::kEventSynchronize}) {
-    TraceOp event = Op(type, 2, 0.25);
-    event.event = {7, 1};
-    worker.ops.push_back(event);
+    worker.AddEvent(type, 2, 0.25, {7, 1});
   }
-  worker.ops.push_back(Op(TraceOpType::kStreamSynchronize, 2, 0.125));
-  worker.ops.push_back(Op(TraceOpType::kDeviceSynchronize, 0, 0.0625));
+  worker.AddSync(TraceOpType::kStreamSynchronize, 2, 0.125);
+  worker.AddSync(TraceOpType::kDeviceSynchronize, 0, 0.0625);
   for (TraceOpType type : {TraceOpType::kMalloc, TraceOpType::kFree}) {
-    TraceOp memory = Op(type, 0, 0.5);
-    memory.memory = {4096, 0xabc};
-    worker.ops.push_back(memory);
+    worker.AddMemory(type, 0, 0.5, {4096, 0xabc});
   }
   return worker;
 }
@@ -314,10 +297,9 @@ JobTrace GoldenJob() {
     WorkerTrace worker;
     worker.rank = rank;
     worker.comm_inits = {{9, 2, rank}, {3, 2, rank}};
-    TraceOp kernel = Op(TraceOpType::kKernelLaunch, 0, 2.5);
-    kernel.kernel = MakeGemm(64, 64, 64, DType::kBf16);
-    kernel.duration_us = 4.125;
-    worker.ops = {kernel, CollectiveOp(9, rank), CollectiveOp(3, rank)};
+    worker.AddKernel(0, 2.5, MakeGemm(64, 64, 64, DType::kBf16)).duration_us = 4.125;
+    AddCollectiveOp(worker, 9, rank);
+    AddCollectiveOp(worker, 3, rank);
     job.workers.push_back(worker);
   }
   return job;

@@ -175,10 +175,7 @@ TEST(ServiceProtocolTest, EveryPayloadVariantRoundTripsByteIdentical) {
   trace_payload.trace.world_size = 1;
   WorkerTrace worker;
   worker.rank = 0;
-  TraceOp op;
-  op.type = TraceOpType::kKernelLaunch;
-  op.kernel = MakeGemm(128, 64, 64, DType::kBf16);
-  worker.ops.push_back(op);
+  worker.AddKernel(0, 0.0, MakeGemm(128, 64, 64, DType::kBf16));
   trace_payload.trace.workers.push_back(worker);
   trace_payload.trace.folded_ranks.push_back({0});
   trace_payload.deployment = "h100x8";
@@ -257,10 +254,7 @@ std::vector<ServiceRequest> GoldenRequestFixtures() {
   TracePredictPayload trace_predict;
   trace_predict.trace.world_size = 1;
   WorkerTrace worker;
-  TraceOp op;
-  op.type = TraceOpType::kKernelLaunch;
-  op.kernel = MakeGemm(128, 64, 64, DType::kBf16);
-  worker.ops.push_back(op);
+  worker.AddKernel(0, 0.0, MakeGemm(128, 64, 64, DType::kBf16));
   trace_predict.trace.workers.push_back(worker);
   trace_predict.trace.folded_ranks.push_back({0});
   add(5, trace_predict);

@@ -18,67 +18,42 @@ class TraceBuilder {
   explicit TraceBuilder(int rank) { trace_.rank = rank; }
 
   TraceBuilder& Kernel(uint64_t stream, double host_delay, double duration) {
-    TraceOp op;
-    op.type = TraceOpType::kKernelLaunch;
-    op.stream = stream;
-    op.host_delay_us = host_delay;
-    op.duration_us = duration;
-    op.kernel = MakeElementwise(1024, DType::kBf16);
-    trace_.ops.push_back(op);
+    trace_.AddKernel(stream, host_delay, MakeElementwise(1024, DType::kBf16)).duration_us =
+        duration;
     return *this;
   }
 
   TraceBuilder& Collective(uint64_t stream, double host_delay, double duration, uint64_t uid,
                            uint32_t seq, int nranks, int rank_in_comm,
                            CollectiveKind kind = CollectiveKind::kAllReduce) {
-    TraceOp op;
-    op.type = TraceOpType::kCollective;
-    op.stream = stream;
-    op.host_delay_us = host_delay;
-    op.duration_us = duration;
-    op.collective = {kind, 4096, uid, seq, nranks, rank_in_comm, -1};
-    trace_.ops.push_back(op);
+    trace_.AddCollective(stream, host_delay, {kind, 4096, uid, seq, nranks, rank_in_comm, -1})
+        .duration_us = duration;
     comm_inits_.insert({uid, nranks, rank_in_comm});
     return *this;
   }
 
   TraceBuilder& Record(uint64_t stream, double host_delay, uint32_t event, uint32_t version) {
-    TraceOp op;
-    op.type = TraceOpType::kEventRecord;
-    op.stream = stream;
-    op.host_delay_us = host_delay;
-    op.event = {event, version};
-    trace_.ops.push_back(op);
+    trace_.AddEvent(TraceOpType::kEventRecord, stream, host_delay, {event, version});
     return *this;
   }
 
   TraceBuilder& WaitEvent(uint64_t stream, double host_delay, uint32_t event, uint32_t version) {
-    TraceOp op;
-    op.type = TraceOpType::kStreamWaitEvent;
-    op.stream = stream;
-    op.host_delay_us = host_delay;
-    op.event = {event, version};
-    trace_.ops.push_back(op);
+    trace_.AddEvent(TraceOpType::kStreamWaitEvent, stream, host_delay, {event, version});
     return *this;
   }
 
   TraceBuilder& HostSync(TraceOpType type, uint64_t stream, double host_delay,
                          uint32_t event = 0, uint32_t version = 0) {
-    TraceOp op;
-    op.type = type;
-    op.stream = stream;
-    op.host_delay_us = host_delay;
-    op.event = {event, version};
-    trace_.ops.push_back(op);
+    if (type == TraceOpType::kEventSynchronize) {
+      trace_.AddEvent(type, stream, host_delay, {event, version});
+    } else {
+      trace_.AddSync(type, stream, host_delay);
+    }
     return *this;
   }
 
   TraceBuilder& Malloc(double host_delay, uint64_t bytes) {
-    TraceOp op;
-    op.type = TraceOpType::kMalloc;
-    op.host_delay_us = host_delay;
-    op.memory = {bytes, 0x1};
-    trace_.ops.push_back(op);
+    trace_.AddMemory(TraceOpType::kMalloc, 0, host_delay, {bytes, 0x1});
     return *this;
   }
 

@@ -2,6 +2,8 @@
 // serialization round-trips (§4.2).
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "src/trace/collator.h"
 #include "src/trace/serialization.h"
 #include "src/trace/trace.h"
@@ -9,60 +11,98 @@
 namespace maya {
 namespace {
 
-TraceOp Kernel(uint64_t stream, int64_t m = 64) {
-  TraceOp op;
-  op.type = TraceOpType::kKernelLaunch;
-  op.stream = stream;
-  op.kernel = MakeGemm(m, 64, 64, DType::kBf16);
-  op.host_delay_us = 3.0;
-  return op;
+// An op appended to a worker under construction (ops live in the worker:
+// their payloads sit in its side tables).
+using AddOp = std::function<void(WorkerTrace&)>;
+
+AddOp Kernel(uint64_t stream, int64_t m = 64) {
+  return [=](WorkerTrace& worker) {
+    worker.AddKernel(stream, 3.0, MakeGemm(m, 64, 64, DType::kBf16));
+  };
 }
 
-TraceOp Collective(uint64_t uid, uint32_t seq, int nranks, int rank_in_comm,
-                   CollectiveKind kind = CollectiveKind::kAllReduce, int peer = -1) {
-  TraceOp op;
-  op.type = TraceOpType::kCollective;
-  op.stream = 1;
-  op.collective.kind = kind;
-  op.collective.bytes = 4096;
-  op.collective.comm_uid = uid;
-  op.collective.seq = seq;
-  op.collective.nranks = nranks;
-  op.collective.rank_in_comm = rank_in_comm;
-  op.collective.peer = peer;
-  return op;
+AddOp Collective(uint64_t uid, uint32_t seq, int nranks, int rank_in_comm,
+                 CollectiveKind kind = CollectiveKind::kAllReduce, int peer = -1) {
+  return [=](WorkerTrace& worker) {
+    worker.AddCollective(1, 0.0,
+                         CollectiveOpInfo{kind, 4096, uid, seq, nranks, rank_in_comm, peer});
+  };
 }
 
-WorkerTrace MakeWorker(int rank, std::vector<TraceOp> ops,
+WorkerTrace MakeWorker(int rank, const std::vector<AddOp>& ops,
                        std::vector<CommInitRecord> inits = {}) {
   WorkerTrace worker;
   worker.rank = rank;
-  worker.ops = std::move(ops);
+  for (const AddOp& add : ops) {
+    add(worker);
+  }
   worker.comm_inits = std::move(inits);
   return worker;
+}
+
+// The structural signature of `op` recorded alone in a worker.
+uint64_t Signature(const AddOp& op) {
+  const WorkerTrace worker = MakeWorker(0, {op});
+  return worker.StructuralSignature(worker.ops[0]);
 }
 
 // ---- Structural signatures and fingerprints --------------------------------------
 
 TEST(TraceOpTest, SignatureIgnoresCommUidAndTimes) {
-  TraceOp a = Collective(111, 5, 4, 2);
-  TraceOp b = Collective(999, 5, 4, 2);  // different uid: data-parallel twin
-  b.host_delay_us = 42.0;
-  b.duration_us = 7.0;
-  EXPECT_EQ(a.StructuralSignature(), b.StructuralSignature());
+  WorkerTrace a = MakeWorker(0, {Collective(111, 5, 4, 2)});
+  WorkerTrace b = MakeWorker(0, {Collective(999, 5, 4, 2)});  // different uid: data-parallel twin
+  b.ops[0].host_delay_us = 42.0;
+  b.ops[0].duration_us = 7.0;
+  EXPECT_EQ(a.StructuralSignature(a.ops[0]), b.StructuralSignature(b.ops[0]));
 }
 
 TEST(TraceOpTest, SignatureSeesShapeDifferences) {
-  EXPECT_NE(Kernel(0, 64).StructuralSignature(), Kernel(0, 128).StructuralSignature());
-  EXPECT_NE(Kernel(0).StructuralSignature(), Kernel(1).StructuralSignature());
+  EXPECT_NE(Signature(Kernel(0, 64)), Signature(Kernel(0, 128)));
+  EXPECT_NE(Signature(Kernel(0)), Signature(Kernel(1)));
   // Symmetric collectives: the rank-in-group is non-structural...
-  EXPECT_EQ(Collective(1, 0, 4, 0).StructuralSignature(),
-            Collective(1, 0, 4, 1).StructuralSignature());
+  EXPECT_EQ(Signature(Collective(1, 0, 4, 0)), Signature(Collective(1, 0, 4, 1)));
   // ...but group size is, and for p2p transfers the role is too.
-  EXPECT_NE(Collective(1, 0, 4, 0).StructuralSignature(),
-            Collective(1, 0, 8, 0).StructuralSignature());
-  EXPECT_NE(Collective(1, 0, 2, 0, CollectiveKind::kSend, 1).StructuralSignature(),
-            Collective(1, 0, 2, 1, CollectiveKind::kSend, 0).StructuralSignature());
+  EXPECT_NE(Signature(Collective(1, 0, 4, 0)), Signature(Collective(1, 0, 8, 0)));
+  EXPECT_NE(Signature(Collective(1, 0, 2, 0, CollectiveKind::kSend, 1)),
+            Signature(Collective(1, 0, 2, 1, CollectiveKind::kSend, 0)));
+}
+
+TEST(TraceOpTest, OpHeaderIsCompact) {
+  // The op log is one header per recorded call; payloads live in side tables.
+  EXPECT_LE(sizeof(TraceOp), 32u);
+}
+
+TEST(WorkerTraceTest, KernelTableInternsInFirstLaunchOrder) {
+  WorkerTrace worker = MakeWorker(
+      0, {Kernel(0, 128), Kernel(1, 64), Kernel(0, 128), Collective(1, 0, 2, 0), Kernel(0, 64)});
+  ASSERT_EQ(worker.kernels.size(), 2u);
+  EXPECT_EQ(worker.kernels[0], MakeGemm(128, 64, 64, DType::kBf16));
+  EXPECT_EQ(worker.kernels[1], MakeGemm(64, 64, 64, DType::kBf16));
+  EXPECT_EQ(worker.kernels.signature(0), worker.kernels[0].Hash());
+  const std::vector<uint32_t> payloads = {worker.ops[0].payload, worker.ops[1].payload,
+                                          worker.ops[2].payload, worker.ops[4].payload};
+  EXPECT_EQ(payloads, (std::vector<uint32_t>{0, 1, 0, 1}));
+  EXPECT_EQ(worker.collective(worker.ops[3]).comm_uid, 1u);
+  // Interning past the first index resize keeps every entry findable.
+  KernelTable table;
+  for (int64_t m = 1; m <= 100; ++m) {
+    EXPECT_EQ(table.Intern(MakeGemm(m, 8, 8, DType::kBf16)), static_cast<uint32_t>(m - 1));
+  }
+  for (int64_t m = 1; m <= 100; ++m) {
+    EXPECT_EQ(table.Intern(MakeGemm(m, 8, 8, DType::kBf16)), static_cast<uint32_t>(m - 1));
+  }
+  EXPECT_EQ(table.size(), 100u);
+}
+
+TEST(WorkerTraceTest, FingerprintFollowsFusedOpCount) {
+  // Triton kernels differing only in their fused-op count are different
+  // work; the interned signature covers every KernelDesc field Hash() reads.
+  const auto fused = [](int count) -> AddOp {
+    return [count](WorkerTrace& worker) {
+      worker.AddKernel(0, 1.0, MakeTritonFused(1 << 16, count, DType::kBf16));
+    };
+  };
+  EXPECT_NE(MakeWorker(0, {fused(2)}).Fingerprint(), MakeWorker(0, {fused(3)}).Fingerprint());
 }
 
 TEST(WorkerTraceTest, FingerprintOrderSensitive) {
@@ -96,9 +136,27 @@ TEST(CollatorTest, BuildsCommMembershipFromEvidence) {
   ASSERT_TRUE(job.ok()) << job.status().ToString();
   EXPECT_EQ(job->world_size, 2);
   ASSERT_EQ(job->workers.size(), 2u);
-  const CommGroup& group = job->comm(7);
+  const CommGroup& group = **job->comm(7);
   EXPECT_EQ(group.nranks, 2);
   EXPECT_EQ(group.members, (std::vector<int>{0, 1}));
+  // An undeclared uid is a typed error, not an abort.
+  const Result<const CommGroup*> unknown = job->comm(8);
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.status().code(), StatusCode::kInternal);
+}
+
+TEST(CollatorTest, ResolvedCommsMissingP2pUidIsTypedError) {
+  // Resolved membership that omits a p2p communicator the traces use fails
+  // the fold validation with INTERNAL instead of aborting the process.
+  WorkerTrace w0 = MakeWorker(0, {Collective(9, 0, 2, 0, CollectiveKind::kSend, 1)});
+  WorkerTrace w1 = MakeWorker(1, {Collective(9, 0, 2, 1, CollectiveKind::kRecv, 0)});
+  std::unordered_map<uint64_t, CommGroup> resolved;
+  resolved[3] = CommGroup{3, 2, {0, 1}};
+  TraceCollator collator;
+  const Result<JobTrace> job = collator.Collate({w0, w1}, resolved);
+  ASSERT_FALSE(job.ok());
+  EXPECT_EQ(job.status().code(), StatusCode::kInternal);
+  EXPECT_NE(job.status().message().find("unknown communicator uid 9"), std::string::npos);
 }
 
 TEST(CollatorTest, RejectsInconsistentCommSizes) {
@@ -152,12 +210,12 @@ TEST(CollatorTest, ParallelFingerprintPassBitIdentical) {
     std::vector<WorkerTrace> workers;
     for (int rank = 0; rank < 16; ++rank) {
       const uint64_t uid = 100 + static_cast<uint64_t>(rank % 4);
-      std::vector<TraceOp> ops;
+      std::vector<AddOp> ops;
       for (int i = 0; i < 8; ++i) {
         ops.push_back(Kernel(0, 64 << (i % 3)));
       }
       ops.push_back(Collective(uid, 0, 4, rank / 4));
-      workers.push_back(MakeWorker(rank, std::move(ops), {{uid, 4, rank / 4}}));
+      workers.push_back(MakeWorker(rank, ops, {{uid, 4, rank / 4}}));
     }
     return workers;
   };
@@ -204,7 +262,7 @@ TEST(CollatorTest, StubsAttachToDeclaredRepresentative) {
   EXPECT_EQ(job->workers.size(), 1u);
   EXPECT_EQ(job->folded_ranks[0], (RankSet{0, 1}));
   // Membership evidence from the stub still resolved the communicator.
-  EXPECT_EQ(job->comm(5).members, (std::vector<int>{0, 1}));
+  EXPECT_EQ((*job->comm(5))->members, (std::vector<int>{0, 1}));
 }
 
 TEST(CollatorTest, StubWithoutRepresentativeRejected) {
@@ -267,18 +325,9 @@ TEST(SerializationTest, WorkerTraceRoundTrip) {
       {Kernel(0, 128), Collective(55, 3, 4, 1, CollectiveKind::kReduceScatter)},
       {{55, 4, 1}});
   worker.ops[0].duration_us = 12.5;
-  TraceOp event_op;
-  event_op.type = TraceOpType::kEventRecord;
-  event_op.stream = 2;
-  event_op.event = {7, 3};
-  worker.ops.push_back(event_op);
-  TraceOp malloc_op;
-  malloc_op.type = TraceOpType::kMalloc;
-  malloc_op.memory = {4096, 0xabc};
-  worker.ops.push_back(malloc_op);
-  TraceOp sync_op;
-  sync_op.type = TraceOpType::kDeviceSynchronize;
-  worker.ops.push_back(sync_op);
+  worker.AddEvent(TraceOpType::kEventRecord, 2, 0.0, {7, 3});
+  worker.AddMemory(TraceOpType::kMalloc, 0, 0.0, {4096, 0xabc});
+  worker.AddSync(TraceOpType::kDeviceSynchronize, 0, 0.0);
   worker.peak_device_bytes = 999;
 
   const std::string json = SerializeWorkerTrace(worker);
@@ -287,16 +336,18 @@ TEST(SerializationTest, WorkerTraceRoundTrip) {
   EXPECT_EQ(parsed->rank, 2);
   EXPECT_EQ(parsed->peak_device_bytes, 999u);
   ASSERT_EQ(parsed->ops.size(), worker.ops.size());
-  EXPECT_EQ(parsed->ops[0].kernel.params[0], 128);
+  EXPECT_EQ(parsed->kernel(parsed->ops[0]).params[0], 128);
   EXPECT_DOUBLE_EQ(parsed->ops[0].duration_us, 12.5);
-  EXPECT_EQ(parsed->ops[1].collective.kind, CollectiveKind::kReduceScatter);
-  EXPECT_EQ(parsed->ops[1].collective.comm_uid, 55u);
-  EXPECT_EQ(parsed->ops[2].event.event_id, 7u);
-  EXPECT_EQ(parsed->ops[3].memory.bytes, 4096u);
+  EXPECT_EQ(parsed->collective(parsed->ops[1]).kind, CollectiveKind::kReduceScatter);
+  EXPECT_EQ(parsed->collective(parsed->ops[1]).comm_uid, 55u);
+  EXPECT_EQ(parsed->event(parsed->ops[2]).event_id, 7u);
+  EXPECT_EQ(parsed->memory(parsed->ops[3]).bytes, 4096u);
   ASSERT_EQ(parsed->comm_inits.size(), 1u);
   EXPECT_EQ(parsed->comm_inits[0].rank_in_comm, 1);
-  // Structural identity is preserved exactly.
+  // Structural identity is preserved exactly: the parser rebuilds the side
+  // tables in op order, as the recorder built them.
   EXPECT_EQ(parsed->Fingerprint(), worker.Fingerprint());
+  EXPECT_TRUE(*parsed == worker);
 }
 
 TEST(SerializationTest, JobTraceSerializesCommsAndFolding) {
@@ -344,7 +395,7 @@ TEST(SerializationTest, JobTraceStrictRoundTrip) {
   ASSERT_EQ(parsed->comms.size(), job->comms.size());
   for (const auto& [uid, group] : job->comms) {
     ASSERT_TRUE(parsed->comms.count(uid) > 0);
-    EXPECT_EQ(parsed->comm(uid).members, group.members);
+    EXPECT_EQ((*parsed->comm(uid))->members, group.members);
   }
   for (size_t i = 0; i < job->workers.size(); ++i) {
     EXPECT_EQ(parsed->workers[i].Fingerprint(), job->workers[i].Fingerprint());

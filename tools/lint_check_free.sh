@@ -58,6 +58,12 @@ src/common/cancellation.h
 src/common/json_fields.h
 src/trace/serialization.cc
 src/trace/serialization.h
+src/trace/trace.cc
+src/trace/trace.h
+src/trace/collator.cc
+src/trace/collator.h
+src/emulator/emulator.cc
+src/emulator/emulator.h
 src/estimator/serialization.cc
 src/estimator/serialization.h
 "
